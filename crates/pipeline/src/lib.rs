@@ -25,9 +25,13 @@
 //! [`Cache`]: elaboration, the region bundle, the
 //! minimized per-signal covers of the MC report, MC-reduction and the
 //! verification verdict. Keys hash the **canonical** serialized input
-//! (see [`simc_sg::canonical_sg`]) plus the stage options, so isomorphic
-//! inputs share artifacts and cached and uncached runs produce
-//! byte-identical results at any thread count.
+//! plus the stage options, so isomorphic inputs share artifacts and
+//! cached and uncached runs produce byte-identical results at any thread
+//! count. Elaboration builds the canonical graph in memory
+//! ([`simc_sg::canonical_graph`]); its `.sg` text
+//! ([`simc_sg::canonical_sg`]) is rendered only when a cache needs keys
+//! or a caller asks for it, and text is parsed back only to revive a
+//! cached graph.
 //!
 //! The older per-crate entry points (`simc_mc::synth::synthesize`,
 //! `simc_netlist::verify`, …) remain supported; the pipeline is a thin
@@ -39,7 +43,7 @@
 mod codec;
 mod error;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use simc_cache::{domains, Cache, Key, KeyHasher};
 use simc_formats::{Artifact, SourceKind, CANONICAL_MODEL};
@@ -48,7 +52,7 @@ use simc_mc::parallel::ParallelSynth;
 use simc_mc::synth::{build_from_covers, Implementation, Target};
 use simc_mc::{McCheck, McReport};
 use simc_netlist::{verify, Netlist, VerifyOptions};
-use simc_sg::{canonical_sg, parse_sg, Regions, StateGraph};
+use simc_sg::{canonical_graph, parse_sg, write_sg, Regions, StateGraph};
 
 pub use error::{Error, ErrorKind};
 
@@ -60,6 +64,31 @@ enum Source {
     Sg(StateGraph),
 }
 
+/// A canonical state graph and its `.sg` text, rendered on first use.
+#[derive(Debug)]
+struct Canonical {
+    sg: StateGraph,
+    text: OnceLock<String>,
+}
+
+impl Canonical {
+    /// Wraps a graph already in canonical form.
+    fn new(sg: StateGraph) -> Arc<Self> {
+        Arc::new(Canonical { sg, text: OnceLock::new() })
+    }
+
+    /// Wraps a graph revived from its canonical text.
+    fn revived(sg: StateGraph, text: String) -> Arc<Self> {
+        Arc::new(Canonical { sg, text: OnceLock::from(text) })
+    }
+
+    /// The canonical text: `write_sg` of a canonical graph is its
+    /// `canonical_sg`.
+    fn text(&self) -> &str {
+        self.text.get_or_init(|| write_sg(&self.sg, CANONICAL_MODEL))
+    }
+}
+
 /// The elaborated state space: a canonical state graph.
 ///
 /// All later stages (and all cache keys) are expressed relative to the
@@ -68,19 +97,19 @@ enum Source {
 /// in-memory graph — lands on the same artifacts.
 #[derive(Debug)]
 pub struct Elaborated {
-    sg: StateGraph,
-    canonical: String,
+    canonical: Arc<Canonical>,
 }
 
 impl Elaborated {
     /// The canonical state graph.
     pub fn sg(&self) -> &StateGraph {
-        &self.sg
+        &self.canonical.sg
     }
 
-    /// The canonical `.sg` serialization (the bytes cache keys hash).
+    /// The canonical `.sg` serialization (the bytes cache keys hash),
+    /// rendered on the first call unless a cache already needed it.
     pub fn canonical_text(&self) -> &str {
-        &self.canonical
+        self.canonical.text()
     }
 }
 
@@ -121,8 +150,8 @@ impl Covered {
 pub struct Implemented {
     implementation: Implementation,
     netlist: Netlist,
-    working: StateGraph,
-    working_canonical: String,
+    /// The elaborated graph itself when nothing was inserted.
+    working: Arc<Canonical>,
     working_report: McReport,
     added: usize,
     reduce_log: Vec<String>,
@@ -141,12 +170,13 @@ impl Implemented {
 
     /// The (possibly reduced) graph the netlist implements.
     pub fn working_sg(&self) -> &StateGraph {
-        &self.working
+        &self.working.sg
     }
 
-    /// Canonical serialization of [`Implemented::working_sg`].
+    /// Canonical serialization of [`Implemented::working_sg`], rendered
+    /// on the first call unless a cache already needed it.
     pub fn working_canonical_text(&self) -> &str {
-        &self.working_canonical
+        self.working.text()
     }
 
     /// The (satisfied) MC report of [`Implemented::working_sg`] whose
@@ -305,47 +335,29 @@ impl Pipeline {
         }
     }
 
-    fn cache_lookup(&self, key: &Key) -> Option<Vec<u8>> {
-        let cache = self.cache.as_deref()?;
-        simc_cache::lookup(cache, key)
-    }
-
-    fn cache_store(&self, key: &Key, value: &[u8]) {
-        if let Some(cache) = self.cache.as_deref() {
-            simc_cache::store(cache, key, value);
-        }
-    }
-
     /// Stage 1 — parse (if text) and elaborate the state space, then
-    /// canonicalize. For text sources the elaboration result is cached
-    /// under a hash of the raw input bytes.
+    /// canonicalize in memory. For text sources the elaboration result
+    /// is cached under a hash of the raw input bytes, as canonical text
+    /// that a hit parses back.
     pub fn elaborated(&mut self) -> Result<&Elaborated, Error> {
         if self.elaborated.is_none() {
             self.check_deadline("elaborate")?;
             let source = self.source.as_ref().expect("source present until elaborated");
             let canonical = match source {
-                Source::Sg(sg) => canonical_sg(sg, CANONICAL_MODEL),
-                Source::Text(text) => {
-                    let key = simc_cache::key_of(domains::ELABORATE, &[text.as_bytes()]);
-                    let revived = self
-                        .cache_lookup(&key)
-                        .and_then(|bytes| codec::decode_sg_text(&bytes));
-                    match revived {
-                        Some(canonical) => canonical,
-                        None => {
-                            let sg = elaborate_text(text)?;
-                            let canonical = canonical_sg(&sg, CANONICAL_MODEL);
-                            self.cache_store(&key, canonical.as_bytes());
-                            canonical
-                        }
-                    }
-                }
+                Source::Sg(sg) => Canonical::new(canonical_graph(sg)),
+                Source::Text(text) => memoized(
+                    self.cache.as_deref(),
+                    || simc_cache::key_of(domains::ELABORATE, &[text.as_bytes()]),
+                    |bytes| {
+                        let text = codec::decode_sg_text(bytes)?;
+                        Some(Canonical::revived(parse_sg(&text).ok()?, text))
+                    },
+                    || Ok(Canonical::new(canonical_graph(&elaborate_text(text)?))),
+                    |canonical| canonical.text().as_bytes().to_vec(),
+                )?,
             };
-            // Reparsing the canonical text yields the canonical graph;
-            // `canonical_sg` guarantees the round trip is exact.
-            let sg = parse_sg(&canonical)?;
             self.source = None;
-            self.elaborated = Some(Elaborated { sg, canonical });
+            self.elaborated = Some(Elaborated { canonical });
         }
         Ok(self.elaborated.as_ref().expect("just elaborated"))
     }
@@ -356,22 +368,14 @@ impl Pipeline {
             self.elaborated()?;
             self.check_deadline("regions")?;
             let elaborated = self.elaborated.as_ref().expect("elaborated");
-            let key = simc_cache::key_of(domains::REGIONS, &[elaborated.canonical.as_bytes()]);
-            let revived = self.cache_lookup(&key).and_then(|bytes| {
-                Regions::from_cache_bytes(
-                    &bytes,
-                    elaborated.sg.state_count(),
-                    elaborated.sg.signal_count(),
-                )
-            });
-            let regions = match revived {
-                Some(regions) => regions,
-                None => {
-                    let regions = elaborated.sg.regions();
-                    self.cache_store(&key, &regions.to_cache_bytes());
-                    regions
-                }
-            };
+            let sg = elaborated.sg();
+            let regions = memoized(
+                self.cache.as_deref(),
+                || simc_cache::key_of(domains::REGIONS, &[elaborated.canonical_text().as_bytes()]),
+                |bytes| Regions::from_cache_bytes(bytes, sg.state_count(), sg.signal_count()),
+                || Ok(sg.regions()),
+                Regions::to_cache_bytes,
+            )?;
             self.regioned = Some(Regioned { regions });
         }
         Ok(self.regioned.as_ref().expect("just regioned"))
@@ -386,12 +390,11 @@ impl Pipeline {
             let elaborated = self.elaborated.as_ref().expect("elaborated");
             let regions = &self.regioned.as_ref().expect("regioned").regions;
             let report = report_for(
-                &elaborated.sg,
                 &elaborated.canonical,
                 Some(regions),
                 self.threads,
                 self.cache.as_deref(),
-            );
+            )?;
             self.covered = Some(Covered { report });
         }
         Ok(self.covered.as_ref().expect("just covered"))
@@ -405,39 +408,25 @@ impl Pipeline {
             self.check_deadline("implement")?;
             let elaborated = self.elaborated.as_ref().expect("elaborated");
             let report = &self.covered.as_ref().expect("covered").report;
-            let (working, working_canonical, added, reduce_log, working_report) =
-                if report.satisfied() {
-                    (
-                        elaborated.sg.clone(),
-                        elaborated.canonical.clone(),
-                        0,
-                        Vec::new(),
-                        report.clone(),
-                    )
-                } else {
-                    let (working, working_canonical, added, log) = self.reduce_stage()?;
-                    let report = report_for(
-                        &working,
-                        &working_canonical,
-                        None,
-                        self.threads,
-                        self.cache.as_deref(),
-                    );
-                    if !report.satisfied() {
-                        return Err(Error::Mc(simc_mc::McError::NotMonotonous {
-                            violations: report.violation_count(),
-                        }));
-                    }
-                    (working, working_canonical, added, log, report)
-                };
+            let (working, added, reduce_log, working_report) = if report.satisfied() {
+                (Arc::clone(&elaborated.canonical), 0, Vec::new(), report.clone())
+            } else {
+                let (working, added, log) = self.reduce_stage()?;
+                let report = report_for(&working, None, self.threads, self.cache.as_deref())?;
+                if !report.satisfied() {
+                    return Err(Error::Mc(simc_mc::McError::NotMonotonous {
+                        violations: report.violation_count(),
+                    }));
+                }
+                (working, added, log, report)
+            };
             let implementation =
-                implementation_from_report(&working, &working_report, self.target);
+                implementation_from_report(&working.sg, &working_report, self.target);
             let netlist = implementation.to_netlist().map_err(Error::Mc)?;
             self.implemented = Some(Implemented {
                 implementation,
                 netlist,
                 working,
-                working_canonical,
                 working_report,
                 added,
                 reduce_log,
@@ -453,37 +442,37 @@ impl Pipeline {
             self.implemented()?;
             self.check_deadline("verify")?;
             let implemented = self.implemented.as_ref().expect("implemented");
-            let mut hasher = KeyHasher::new(domains::VERDICT);
-            hasher.update(implemented.working_canonical.as_bytes());
-            hasher.update(target_tag(self.target).as_bytes());
-            hasher.update_u64(self.verify_options.max_states as u64);
-            hasher.update_u64(self.verify_options.max_violations as u64);
-            hasher.update_u64(u64::from(self.verify_options.flag_clashes));
-            hasher.update_u64(u64::from(self.verify_options.reduction));
-            let key = hasher.finish();
-            let revived = self
-                .cache_lookup(&key)
-                .and_then(|bytes| codec::decode_verdict(&bytes));
-            let verified = match revived {
-                Some((ok, explored, violations)) => Verified { ok, explored, violations },
-                None => {
-                    let report =
-                        verify(&implemented.netlist, &implemented.working, self.verify_options)
-                            .map_err(Error::Netlist)?;
-                    let violations: Vec<String> = report
+            let (netlist, working) = (&implemented.netlist, implemented.working_sg());
+            let options = self.verify_options;
+            let verified = memoized(
+                self.cache.as_deref(),
+                || {
+                    let mut hasher = KeyHasher::new(domains::VERDICT);
+                    hasher.update(implemented.working_canonical_text().as_bytes());
+                    hasher.update(target_tag(self.target).as_bytes());
+                    hasher.update_u64(options.max_states as u64);
+                    hasher.update_u64(options.max_violations as u64);
+                    hasher.update_u64(u64::from(options.flag_clashes));
+                    hasher.update_u64(u64::from(options.reduction));
+                    hasher.finish()
+                },
+                |bytes| {
+                    codec::decode_verdict(bytes)
+                        .map(|(ok, explored, violations)| Verified { ok, explored, violations })
+                },
+                || {
+                    let report = verify(netlist, working, options).map_err(Error::Netlist)?;
+                    let violations = report
                         .violations
                         .iter()
-                        .map(|v| report.describe(&implemented.netlist, &implemented.working, v))
+                        .map(|v| report.describe(netlist, working, v))
                         .collect();
-                    let verified =
-                        Verified { ok: report.is_ok(), explored: report.explored, violations };
-                    self.cache_store(
-                        &key,
-                        &codec::encode_verdict(verified.ok, verified.explored, &verified.violations),
-                    );
-                    verified
-                }
-            };
+                    Ok(Verified { ok: report.is_ok(), explored: report.explored, violations })
+                },
+                |verified| {
+                    codec::encode_verdict(verified.ok, verified.explored, &verified.violations)
+                },
+            )?;
             self.verified = Some(verified);
         }
         Ok(self.verified.as_ref().expect("just verified"))
@@ -506,20 +495,23 @@ impl Pipeline {
         let format = simc_formats::by_id(format_id).map_err(Error::Format)?;
         self.elaborated()?;
         self.check_deadline("convert")?;
-        let canonical = self.elaborated.as_ref().expect("elaborated").canonical.clone();
-        let key = simc_cache::key_of(
-            domains::CONVERT,
-            &[
-                canonical.as_bytes(),
-                format.id().as_bytes(),
-                b"emit",
-                target_tag(self.target).as_bytes(),
-            ],
-        );
+        let elaborated = self.elaborated.as_ref().expect("elaborated");
+        let keyed = self.cache.clone().map(|cache| {
+            let key = simc_cache::key_of(
+                domains::CONVERT,
+                &[
+                    elaborated.canonical_text().as_bytes(),
+                    format.id().as_bytes(),
+                    b"emit",
+                    target_tag(self.target).as_bytes(),
+                ],
+            );
+            (cache, key)
+        });
         // Look up before deciding to synthesize: a warm cache must not
         // run the netlist stages at all.
-        if let Some(bytes) = self.cache_lookup(&key) {
-            if let Ok(text) = String::from_utf8(bytes) {
+        if let Some((cache, key)) = &keyed {
+            if let Some(Ok(text)) = simc_cache::lookup(cache.as_ref(), key).map(String::from_utf8) {
                 return Ok(text);
             }
         }
@@ -535,35 +527,61 @@ impl Pipeline {
         };
         simc_obs::add(simc_obs::Counter::ConvertEmits, 1);
         simc_obs::add(simc_obs::Counter::ConvertBytesEmitted, text.len() as u64);
-        self.cache_store(&key, text.as_bytes());
+        if let Some((cache, key)) = &keyed {
+            simc_cache::store(cache.as_ref(), key, text.as_bytes());
+        }
         Ok(text)
     }
 
-    /// The MC-reduction sub-stage of [`Pipeline::implemented`] (cached).
-    fn reduce_stage(&mut self) -> Result<(StateGraph, String, usize, Vec<String>), Error> {
+    /// The MC-reduction sub-stage of [`Pipeline::implemented`] (cached):
+    /// the canonical reduced graph, the insertion count and the log.
+    fn reduce_stage(&self) -> Result<(Arc<Canonical>, usize, Vec<String>), Error> {
         let elaborated = self.elaborated.as_ref().expect("elaborated");
         let opts = self.reduce_options;
-        let mut hasher = KeyHasher::new(domains::REDUCE);
-        hasher.update(elaborated.canonical.as_bytes());
-        for field in [opts.max_signals, opts.max_candidates, opts.beam_width, opts.branch] {
-            hasher.update_u64(field as u64);
-        }
-        let key = hasher.finish();
-        if let Some((canonical, added, log)) = self
-            .cache_lookup(&key)
-            .and_then(|bytes| codec::decode_reduce(&bytes))
-        {
-            if let Ok(sg) = parse_sg(&canonical) {
-                return Ok((sg, canonical, added, log));
-            }
-        }
-        let result = reduce_to_mc(&elaborated.sg, opts).map_err(Error::Mc)?;
-        let canonical = canonical_sg(&result.sg, CANONICAL_MODEL);
-        // Work in the canonical numbering, like every other stage.
-        let sg = parse_sg(&canonical)?;
-        self.cache_store(&key, &codec::encode_reduce(&canonical, result.added, &result.log));
-        Ok((sg, canonical, result.added, result.log))
+        memoized(
+            self.cache.as_deref(),
+            || {
+                let mut hasher = KeyHasher::new(domains::REDUCE);
+                hasher.update(elaborated.canonical_text().as_bytes());
+                for field in [opts.max_signals, opts.max_candidates, opts.beam_width, opts.branch] {
+                    hasher.update_u64(field as u64);
+                }
+                hasher.finish()
+            },
+            |bytes| {
+                let (text, added, log) = codec::decode_reduce(bytes)?;
+                Some((Canonical::revived(parse_sg(&text).ok()?, text), added, log))
+            },
+            || {
+                let result = reduce_to_mc(elaborated.sg(), opts).map_err(Error::Mc)?;
+                // Work in the canonical numbering, like every other stage.
+                Ok((Canonical::new(canonical_graph(&result.sg)), result.added, result.log))
+            },
+            |(working, added, log)| codec::encode_reduce(working.text(), *added, log),
+        )
     }
+}
+
+/// Revives a stage artifact from `cache` or computes it, storing what
+/// it computes. Without a cache the key is never built: keys hash
+/// canonical text, which an uncached pipeline never renders.
+fn memoized<T>(
+    cache: Option<&dyn Cache>,
+    key: impl FnOnce() -> Key,
+    decode: impl FnOnce(&[u8]) -> Option<T>,
+    compute: impl FnOnce() -> Result<T, Error>,
+    encode: impl FnOnce(&T) -> Vec<u8>,
+) -> Result<T, Error> {
+    let Some(cache) = cache else {
+        return compute();
+    };
+    let key = key();
+    if let Some(value) = simc_cache::lookup(cache, &key).and_then(|bytes| decode(&bytes)) {
+        return Ok(value);
+    }
+    let value = compute()?;
+    simc_cache::store(cache, &key, &encode(&value));
+    Ok(value)
 }
 
 /// Parses `.g`/`.sg` text and elaborates the state space.
@@ -575,34 +593,29 @@ fn elaborate_text(text: &str) -> Result<StateGraph, Error> {
     stg.to_state_graph().map_err(Error::Stg)
 }
 
-/// Computes (or revives) the MC report of `sg`, whose canonical
-/// serialization is `canonical`. `regions` skips the decomposition when
-/// the caller already holds it; the report itself is cached under a key
-/// independent of the thread count.
+/// Computes (or revives) the MC report of a canonical graph. `regions`
+/// skips the decomposition when the caller already holds it; the report
+/// itself is cached under a key independent of the thread count.
 fn report_for(
-    sg: &StateGraph,
-    canonical: &str,
+    canonical: &Canonical,
     regions: Option<&Regions>,
     threads: usize,
     cache: Option<&dyn Cache>,
-) -> McReport {
-    let key = simc_cache::key_of(domains::MC_REPORT, &[canonical.as_bytes()]);
-    if let Some(cache) = cache {
-        if let Some(report) = simc_cache::lookup(cache, &key)
-            .and_then(|bytes| codec::decode_report(&bytes, sg.state_count(), sg.signal_count()))
-        {
-            return report;
-        }
-    }
-    let check = match regions {
-        Some(regions) => McCheck::from_parts(sg, regions.clone()),
-        None => McCheck::new(sg),
-    };
-    let report = ParallelSynth::new(threads).report(&check);
-    if let Some(cache) = cache {
-        simc_cache::store(cache, &key, &codec::encode_report(&report));
-    }
-    report
+) -> Result<McReport, Error> {
+    let sg = &canonical.sg;
+    memoized(
+        cache,
+        || simc_cache::key_of(domains::MC_REPORT, &[canonical.text().as_bytes()]),
+        |bytes| codec::decode_report(bytes, sg.state_count(), sg.signal_count()),
+        || {
+            let check = match regions {
+                Some(regions) => McCheck::from_parts(sg, regions.clone()),
+                None => McCheck::new(sg),
+            };
+            Ok(ParallelSynth::new(threads).report(&check))
+        },
+        codec::encode_report,
+    )
 }
 
 /// Pairs the up/down entries of a satisfied report and builds the

@@ -33,7 +33,7 @@ impl fmt::Display for StateId {
     }
 }
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct StateData {
     pub(crate) code: StateCode,
     pub(crate) succs: Vec<(Transition, StateId)>,
@@ -48,7 +48,11 @@ pub(crate) struct StateData {
 ///
 /// Construct one with [`SgBuilder`], [`StateGraph::from_starred_codes`], or
 /// the higher-level translators in the `simc-stg` crate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Equality is structural: same signals in the same order, same codes,
+/// successor and predecessor lists in the same order, same initial
+/// state.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StateGraph {
     signals: Vec<Signal>,
     states: Vec<StateData>,

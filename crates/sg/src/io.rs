@@ -20,73 +20,160 @@
 //! [`write_sg`]/[`parse_sg`] are exact.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use crate::error::SgError;
-use crate::graph::{SgBuilder, StateGraph};
-use crate::signal::{Dir, SignalKind, Transition};
+use crate::graph::{SgBuilder, StateGraph, StateId};
+use crate::signal::{Dir, SignalId, SignalKind, Transition};
 use crate::StateCode;
 
-/// The `.model`/`.inputs`/`.outputs`/`.internal` header shared by both
-/// serializers. Signals appear in declaration order, which also fixes the
-/// code-bit assignment on reparse.
-fn signal_header(sg: &StateGraph, model_name: &str, sorted: bool) -> String {
-    let mut out = format!(".model {model_name}\n");
-    let list = |kind: SignalKind| -> String {
-        let mut names: Vec<String> = sg
-            .signal_ids()
-            .filter(|&s| sg.signal(s).kind() == kind)
-            .map(|s| sg.signal(s).name().to_string())
-            .collect();
-        if sorted {
-            names.sort_unstable();
-        }
-        names.join(" ")
-    };
-    let inputs = list(SignalKind::Input);
-    if !inputs.is_empty() {
-        out.push_str(&format!(".inputs {inputs}\n"));
-    }
-    let outputs = list(SignalKind::Output);
-    if !outputs.is_empty() {
-        out.push_str(&format!(".outputs {outputs}\n"));
-    }
-    let internal = list(SignalKind::Internal);
-    if !internal.is_empty() {
-        out.push_str(&format!(".internal {internal}\n"));
-    }
-    out
-}
-
-/// Serializes a state graph in `.sg` format. States are named `s0, s1, …`
-/// by id; the initial state carries the marking.
+/// Serializes a state graph in `.sg` format. Signals are declared by
+/// kind in id order within each kind; states are named `s0, s1, …` by id
+/// and the initial state carries the marking. Signals that never switch
+/// take their value from the initial code: those at 1 are listed on an
+/// `.initial.state` line, since no transition shows it.
 pub fn write_sg(sg: &StateGraph, model_name: &str) -> String {
-    let mut out = signal_header(sg, model_name, false);
+    let mut out = format!(".model {model_name}\n");
+    for (directive, kind) in [
+        ("inputs", SignalKind::Input),
+        ("outputs", SignalKind::Output),
+        ("internal", SignalKind::Internal),
+    ] {
+        let names = signal_names(sg, |s| sg.signal(s).kind() == kind);
+        if !names.is_empty() {
+            let _ = writeln!(out, ".{directive} {names}");
+        }
+    }
+    let switching = sg
+        .state_ids()
+        .flat_map(|s| sg.succs(s))
+        .fold(0u64, |mask, (t, _)| mask | (1 << t.signal.index()));
+    let idle_high = sg.code(sg.initial()).bits() & !switching;
+    if idle_high != 0 {
+        let names = signal_names(sg, |s| (idle_high >> s.index()) & 1 == 1);
+        let _ = writeln!(out, ".initial.state {names}");
+    }
     out.push_str(".state graph\n");
     for s in sg.state_ids() {
         for &(t, next) in sg.succs(s) {
-            out.push_str(&format!(
-                "s{} {}{} s{}\n",
+            let _ = writeln!(
+                out,
+                "s{} {}{} s{}",
                 s.index(),
                 sg.signal(t.signal).name(),
                 t.dir.sign(),
                 next.index()
-            ));
+            );
         }
     }
-    out.push_str(&format!(".marking {{s{}}}\n.end\n", sg.initial().index()));
+    let _ = writeln!(out, ".marking {{s{}}}\n.end", sg.initial().index());
     out
 }
 
-/// Serializes a state graph in *canonical* `.sg` form.
+/// Space-separated names of the signals `keep` selects, in id order.
+fn signal_names(sg: &StateGraph, keep: impl Fn(SignalId) -> bool) -> String {
+    let names: Vec<&str> = sg
+        .signal_ids()
+        .filter(|&s| keep(s))
+        .map(|s| sg.signal(s).name())
+        .collect();
+    names.join(" ")
+}
+
+/// The canonical form of a state graph, built in memory.
 ///
-/// Signal declarations are listed name-sorted within each kind, and
-/// states are renumbered by breadth-first discovery order from the
-/// initial state, visiting each state's outgoing edges ordered by
-/// (signal name, rise-before-fall); arcs are listed grouped by source
-/// state in that same order. Everything is keyed on signal *names*, so
-/// two in-memory graphs that differ only in internal state or signal
-/// numbering serialize to identical bytes, and [`parse_sg`] reconstructs
-/// a graph whose state ids coincide with the canonical numbering —
+/// Signals are declared inputs first, then outputs, then internal
+/// signals, name-sorted within each kind, with every state code's bits
+/// permuted to match. States are renumbered by breadth-first discovery
+/// order from the initial state, visiting each state's outgoing edges
+/// ordered by (signal name, rise before fall); each state's successors
+/// are listed in that order, and its predecessors in the order those
+/// edges appear when sources are taken by canonical number. Everything is
+/// keyed on signal *names*, so two graphs that differ only in internal
+/// state or signal numbering have equal canonical graphs.
+///
+/// This is exactly the graph [`parse_sg`] reconstructs from
+/// [`canonical_sg`]'s text, and the function is idempotent.
+pub fn canonical_graph(sg: &StateGraph) -> StateGraph {
+    let signal_count = sg.signal_count();
+    let kind_rank = |s: SignalId| match sg.signal(s).kind() {
+        SignalKind::Input => 0,
+        SignalKind::Output => 1,
+        SignalKind::Internal => 2,
+    };
+    let mut declared: Vec<SignalId> = sg.signal_ids().collect();
+    declared.sort_by(|&a, &b| {
+        kind_rank(a)
+            .cmp(&kind_rank(b))
+            .then_with(|| sg.signal(a).name().cmp(sg.signal(b).name()))
+    });
+    let mut builder = SgBuilder::new();
+    let mut renamed = vec![SignalId::new(0); signal_count];
+    for &old in &declared {
+        let signal = sg.signal(old);
+        renamed[old.index()] = builder
+            .add_signal(signal.name(), signal.kind())
+            .expect("a built graph has distinct signal names within the cap");
+    }
+    let permute = |code: StateCode| {
+        (0..signal_count)
+            .filter(|&i| (code.bits() >> i) & 1 == 1)
+            .fold(0u64, |bits, i| bits | (1 << renamed[i].index()))
+    };
+
+    // Edges are visited by (signal name, rise before fall).
+    let mut by_name: Vec<SignalId> = sg.signal_ids().collect();
+    by_name.sort_by(|&a, &b| sg.signal(a).name().cmp(sg.signal(b).name()));
+    let mut name_rank = vec![0usize; signal_count];
+    for (rank, s) in by_name.into_iter().enumerate() {
+        name_rank[s.index()] = rank;
+    }
+    let edge_order =
+        |t: &Transition| 2 * name_rank[t.signal.index()] + usize::from(t.dir == Dir::Fall);
+
+    // Renumber by BFS, collecting edges grouped by source in the new
+    // numbering. `SgBuilder` guarantees full reachability from the
+    // initial state, so the traversal discovers every state.
+    let n = sg.state_count();
+    let mut renumber = vec![usize::MAX; n];
+    let mut bfs = Vec::with_capacity(n);
+    let mut edges = Vec::with_capacity(sg.edge_count());
+    let mut sorted: Vec<(Transition, StateId)> = Vec::new();
+    renumber[sg.initial().index()] = 0;
+    bfs.push(sg.initial());
+    let mut head = 0;
+    while head < bfs.len() {
+        let s = bfs[head];
+        sorted.clear();
+        sorted.extend_from_slice(sg.succs(s));
+        sorted.sort_by_key(|(t, _)| edge_order(t));
+        for &(t, next) in &sorted {
+            if renumber[next.index()] == usize::MAX {
+                renumber[next.index()] = bfs.len();
+                bfs.push(next);
+            }
+            let t = Transition { signal: renamed[t.signal.index()], dir: t.dir };
+            edges.push((StateId::new(head), t, StateId::new(renumber[next.index()])));
+        }
+        head += 1;
+    }
+    // The builder numbers states in the order they are added.
+    for &s in &bfs {
+        builder.add_state(StateCode::from_bits(permute(sg.code(s))));
+    }
+    for (from, t, to) in edges {
+        builder
+            .add_edge(from, t, to)
+            .expect("renaming and renumbering keep every edge consistent");
+    }
+    builder.set_initial(StateId::new(0));
+    builder.build().expect("every state is reachable from the initial one")
+}
+
+/// Serializes a state graph in *canonical* `.sg` form: [`write_sg`] of
+/// its [`canonical_graph`]. Two in-memory graphs that differ only in
+/// internal state or signal numbering serialize to identical bytes, and
+/// [`parse_sg`] reconstructs exactly the canonical graph, so
 /// canonicalizing a reparsed canonical graph reproduces the text byte
 /// for byte.
 ///
@@ -94,55 +181,16 @@ pub fn write_sg(sg: &StateGraph, model_name: &str) -> String {
 /// cache keys and by the fuzzer's `.sg` repro emission, so hashing and
 /// repro replay always agree on the graph they describe.
 pub fn canonical_sg(sg: &StateGraph, model_name: &str) -> String {
-    let n = sg.state_count();
-    let sorted_succs = |s: crate::graph::StateId| {
-        let mut edges = sg.succs(s).to_vec();
-        edges.sort_by(|&(a, _), &(b, _)| {
-            sg.signal(a.signal)
-                .name()
-                .cmp(sg.signal(b.signal).name())
-                .then_with(|| (a.dir == Dir::Fall).cmp(&(b.dir == Dir::Fall)))
-        });
-        edges
-    };
-    // Renumber by BFS; `SgBuilder` guarantees full reachability from the
-    // initial state, so the traversal discovers every state.
-    let mut renumber = vec![usize::MAX; n];
-    let mut bfs = Vec::with_capacity(n);
-    renumber[sg.initial().index()] = 0;
-    bfs.push(sg.initial());
-    let mut head = 0;
-    while head < bfs.len() {
-        let s = bfs[head];
-        head += 1;
-        for (_, next) in sorted_succs(s) {
-            if renumber[next.index()] == usize::MAX {
-                renumber[next.index()] = bfs.len();
-                bfs.push(next);
-            }
-        }
-    }
-    let mut out = signal_header(sg, model_name, true);
-    out.push_str(".state graph\n");
-    for &s in &bfs {
-        for (t, next) in sorted_succs(s) {
-            out.push_str(&format!(
-                "s{} {}{} s{}\n",
-                renumber[s.index()],
-                sg.signal(t.signal).name(),
-                t.dir.sign(),
-                renumber[next.index()]
-            ));
-        }
-    }
-    out.push_str(".marking {s0}\n.end\n");
-    out
+    write_sg(&canonical_graph(sg), model_name)
 }
 
 /// Parses a state graph from `.sg` text.
 ///
 /// Signal values are inferred from transition consistency starting at the
-/// marked state; disconnected or inconsistent graphs are rejected.
+/// marked state; disconnected or inconsistent graphs are rejected. A
+/// signal that never switches is 0 unless an `.initial.state` line names
+/// it; naming a switching signal that its transitions show at 0 there is
+/// an error.
 ///
 /// # Errors
 ///
@@ -155,6 +203,7 @@ pub fn parse_sg(text: &str) -> Result<StateGraph, SgError> {
     let mut internal: Vec<String> = Vec::new();
     let mut arcs: Vec<(usize, String, String, String)> = Vec::new();
     let mut marking: Option<String> = None;
+    let mut initial_values: Vec<(usize, String)> = Vec::new();
     let mut in_graph = false;
 
     for (lineno, raw) in text.lines().enumerate() {
@@ -172,6 +221,9 @@ pub fn parse_sg(text: &str) -> Result<StateGraph, SgError> {
                 "outputs" => outputs.extend(parts.map(String::from)),
                 "internal" => internal.extend(parts.map(String::from)),
                 "state" => in_graph = true, // ".state graph"
+                "initial.state" => {
+                    initial_values.extend(parts.map(|name| (lineno, name.to_string())));
+                }
                 "marking" => {
                     let m = parts.collect::<Vec<_>>().join(" ");
                     marking = Some(m.replace(['{', '}'], " ").trim().to_string());
@@ -296,6 +348,21 @@ pub fn parse_sg(text: &str) -> Result<StateGraph, SgError> {
                     queue.push_back(next);
                 }
             }
+        }
+        for (line, name) in &initial_values {
+            let &sig = signal_ids.get(name).ok_or_else(|| SgError::Parse {
+                line: *line,
+                message: format!("unknown signal `{name}` in .initial.state"),
+            })?;
+            if known[sig.index()] && !initial_code.value(sig) {
+                return Err(SgError::Parse {
+                    line: *line,
+                    message: format!(
+                        ".initial.state sets `{name}`, which its transitions show at 0"
+                    ),
+                });
+            }
+            initial_code = initial_code.with_value(sig, true);
         }
         // Second pass consistency is checked by the builder's edge rules.
         let mut ids = Vec::with_capacity(state_names.len());
@@ -441,6 +508,35 @@ s1 a+ s0
     fn unknown_directive_reports_line_number() {
         let err = parse_sg(".model x\n.bogus\n").unwrap_err();
         assert!(matches!(err, SgError::Parse { line: 2, .. }), "{err:?}");
+    }
+
+    /// A toggle of `a` beside `c`, which never switches, with `initial`
+    /// as its `.initial.state` line.
+    fn idle(initial: &str) -> String {
+        format!(
+            ".model x\n.inputs a c\n{initial}.state graph\n\
+             s0 a+ s1\ns1 a- s0\n.marking {{s0}}\n.end\n"
+        )
+    }
+
+    #[test]
+    fn initial_state_sets_never_switching_signals() {
+        let high = idle(".initial.state c\n");
+        let sg = parse_sg(&high).unwrap();
+        let c = sg.signal_by_name("c").unwrap();
+        assert!(sg.state_ids().all(|s| sg.code(s).value(c)));
+        assert_eq!(write_sg(&sg, "x"), high);
+        let sg = parse_sg(&idle("")).unwrap();
+        assert!(sg.state_ids().all(|s| !sg.code(s).value(c)));
+        assert_eq!(write_sg(&sg, "x"), idle(""));
+    }
+
+    #[test]
+    fn initial_state_contradicting_transitions_rejected() {
+        let err = parse_sg(&idle(".initial.state a\n")).unwrap_err();
+        assert!(matches!(err, SgError::Parse { line: 3, .. }), "{err:?}");
+        let err = parse_sg(&idle(".initial.state q\n")).unwrap_err();
+        assert!(matches!(err, SgError::Parse { line: 3, .. }), "{err:?}");
     }
 
     #[test]

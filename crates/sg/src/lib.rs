@@ -59,7 +59,7 @@ pub use bitset::BitSet;
 pub use code::StateCode;
 pub use error::SgError;
 pub use graph::{SgBuilder, StateGraph, StateId};
-pub use io::{canonical_sg, parse_sg, write_sg};
+pub use io::{canonical_graph, canonical_sg, parse_sg, write_sg};
 pub use props::Analysis;
 pub use regions::{ErId, ExcitationRegion, Regions};
 pub use signal::{Dir, Signal, SignalId, SignalKind, Transition};

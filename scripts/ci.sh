@@ -138,4 +138,18 @@ grep -q '"cache.misses": 0' "$conv_dir/warm_stats.json" \
 grep -q '"convert.emits": 0' "$conv_dir/warm_stats.json" \
     || { echo "error: warm conversion re-emitted instead of hitting the cache" >&2; exit 1; }
 
+echo "==> perfbench smoke: table1 and scale-ring"
+# The benchmark command of BENCHMARK.json, briefly: each closed-loop
+# workload must build, pass its output checks (exit 0) and report no
+# failed operation on its last line.
+for workload in table1 scale-ring; do
+    last="$(CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+    case "$last" in
+        *'"failed": 0'*) ;;
+        *) echo "error: perfbench $workload: $last" >&2; exit 1 ;;
+    esac
+done
+
 echo "==> ci: all green"
