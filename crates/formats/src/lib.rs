@@ -22,6 +22,9 @@
 //! * **`spice`** — a behavioural SPICE deck, one subcircuit per cell
 //!   ([`write_spice`]). Emit-only.
 //! * **`dot`** — Graphviz, for both artifact kinds. Emit-only.
+//! * **`verilog`** — structural Verilog netlists: the asynchronous
+//!   primitive library followed by one `simc_top` module
+//!   ([`simc_netlist::to_verilog`]). Emit-only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -251,8 +254,44 @@ impl Format for DotFormat {
     }
 }
 
+/// Structural Verilog: the primitive library, then the netlist as
+/// module `simc_top` (emit-only).
+pub struct VerilogFormat;
+
+impl Format for VerilogFormat {
+    fn id(&self) -> &'static str {
+        "verilog"
+    }
+
+    fn description(&self) -> &'static str {
+        "structural Verilog netlist with its primitive library (write-only)"
+    }
+
+    fn source(&self) -> SourceKind {
+        SourceKind::Netlist
+    }
+
+    fn emit(&self, artifact: &Artifact<'_>) -> Result<String, FormatError> {
+        match artifact {
+            Artifact::Netlist(nl) => {
+                Ok(simc_netlist::primitive_library() + &simc_netlist::to_verilog(nl, "simc_top"))
+            }
+            Artifact::Sg(_) => Err(FormatError::Unsupported {
+                format: "verilog",
+                operation: "emitting a state graph (synthesize first)",
+            }),
+        }
+    }
+}
+
 /// The format registry: one entry per shipped format, in listing order.
-const REGISTRY: &[&dyn Format] = &[&SgFormat, &EdifFormat, &SpiceFormat, &DotFormat];
+const REGISTRY: &[&dyn Format] = &[
+    &SgFormat,
+    &EdifFormat,
+    &SpiceFormat,
+    &DotFormat,
+    &VerilogFormat,
+];
 
 /// All registered formats, in listing order.
 pub fn all() -> &'static [&'static dyn Format] {
@@ -347,11 +386,11 @@ mod tests {
     #[test]
     fn registry_ids_are_unique_and_resolvable() {
         let ids: Vec<&str> = all().iter().map(|f| f.id()).collect();
-        assert_eq!(ids, ["sg", "edif", "spice", "dot"]);
+        assert_eq!(ids, ["sg", "edif", "spice", "dot", "verilog"]);
         for id in ids {
             assert_eq!(by_id(id).unwrap().id(), id);
         }
-        assert!(matches!(by_id("verilog"), Err(FormatError::UnknownFormat(_))));
+        assert!(matches!(by_id("vhdl"), Err(FormatError::UnknownFormat(_))));
     }
 
     #[test]
@@ -398,6 +437,28 @@ mod tests {
         assert!(matches!(
             SpiceFormat.parse("x"),
             Err(FormatError::Unsupported { format: "spice", .. })
+        ));
+    }
+
+    #[test]
+    fn verilog_emits_the_library_then_the_top_module() {
+        let mut nl = Netlist::new();
+        let a = nl.add_input("a").unwrap();
+        let y = nl.add_net("y").unwrap();
+        nl.drive_gate(y, simc_netlist::GateKind::Not, &[a]).unwrap();
+        nl.bind_output("y", y).unwrap();
+        let text = VerilogFormat.emit(&Artifact::Netlist(&nl)).unwrap();
+        assert_eq!(
+            text,
+            simc_netlist::primitive_library() + &simc_netlist::to_verilog(&nl, "simc_top")
+        );
+        let sg = parse_sg(".inputs a\n.state graph\ns0 a+ s1\ns1 a- s0\n.marking {s0}\n").unwrap();
+        assert!(matches!(
+            VerilogFormat.emit(&Artifact::Sg(&sg)),
+            Err(FormatError::Unsupported {
+                format: "verilog",
+                ..
+            })
         ));
     }
 }

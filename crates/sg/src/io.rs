@@ -190,7 +190,7 @@ pub fn canonical_sg(sg: &StateGraph, model_name: &str) -> String {
 /// marked state; disconnected or inconsistent graphs are rejected. A
 /// signal that never switches is 0 unless an `.initial.state` line names
 /// it; naming a switching signal that its transitions show at 0 there is
-/// an error.
+/// an error. Text with a marking but no transitions is a one-state graph.
 ///
 /// # Errors
 ///
@@ -261,7 +261,7 @@ pub fn parse_sg(text: &str) -> Result<StateGraph, SgError> {
     }
 
     let initial_name = marking.ok_or(SgError::Empty)?;
-    if arcs.is_empty() {
+    if arcs.is_empty() && initial_name.is_empty() {
         return Err(SgError::Empty);
     }
 
@@ -316,6 +316,11 @@ pub fn parse_sg(text: &str) -> Result<StateGraph, SgError> {
             adjacency.resize(state_names.len(), Vec::new());
         }
         adjacency[fi].push((*t, ti));
+    }
+    if parsed.is_empty() && !initial_name.contains(char::is_whitespace) {
+        // A graph without transitions is its marked state alone.
+        intern(&initial_name, &mut state_names, &mut index);
+        adjacency.push(Vec::new());
     }
     let &initial = index
         .get(initial_name.trim())
@@ -472,6 +477,23 @@ s1 a+ s0
         )
         .unwrap_err();
         assert!(matches!(err, SgError::Empty));
+    }
+
+    #[test]
+    fn marked_state_without_transitions_is_a_one_state_graph() {
+        let text = ".model x\n.inputs a\n.outputs b\n.initial.state b\n.state graph\n\
+                    .marking {s0}\n.end\n";
+        let sg = parse_sg(text).unwrap();
+        assert_eq!((sg.state_count(), sg.edge_count()), (1, 0));
+        let b = sg.signal_by_name("b").unwrap();
+        assert!(sg.code(sg.initial()).value(b));
+        assert_eq!(write_sg(&sg, "x"), text);
+        for unmarked in [".model x\n.inputs a\n.state graph\n.end\n", ".marking {}\n"] {
+            assert!(
+                matches!(parse_sg(unmarked), Err(SgError::Empty)),
+                "{unmarked}"
+            );
+        }
     }
 
     #[test]

@@ -114,8 +114,9 @@ grep -q '"cache.misses": 0' "$batch_dir/warm_stats.json" \
 echo "==> simc convert: EDIF round trip + warm-cache smoke"
 # Interchange smoke over two suite benchmarks: emit EDIF, SPICE and DOT,
 # feed the emitted EDIF back through the reader (re-emission must be
-# byte-identical — the canonical-form round-trip contract), and require
-# the warm second conversion to be answered from the shared cache.
+# byte-identical — the canonical-form round-trip contract), require the
+# Verilog conversion to equal `simc synth --verilog` byte for byte, and
+# require the warm second conversion to be answered from the shared cache.
 conv_dir="$(mktemp -d)"
 trap 'rm -f "$smoke_out"; rm -rf "$fuzz_dir" "$scale_dir" "$batch_dir" "$conv_dir"' EXIT
 for bench in Delement berkel3; do
@@ -127,6 +128,11 @@ for bench in Delement berkel3; do
         || { echo "error: $bench EDIF round trip not byte-identical" >&2; exit 1; }
     ./target/release/simc convert "benchmarks/$bench" --to spice > /dev/null
     ./target/release/simc convert "benchmarks/$bench" --to dot > /dev/null
+    ./target/release/simc convert "benchmarks/$bench" --to verilog > "$conv_dir/$bench.convert.v"
+    ./target/release/simc synth "benchmarks/$bench" --verilog \
+        > "$conv_dir/$bench.synth.v" 2> /dev/null
+    cmp "$conv_dir/$bench.convert.v" "$conv_dir/$bench.synth.v" \
+        || { echo "error: $bench convert --to verilog differs from synth --verilog" >&2; exit 1; }
 done
 ./target/release/simc convert benchmarks/Delement --to edif \
     --cache-dir "$conv_dir/cache" \

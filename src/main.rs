@@ -4,9 +4,9 @@
 //! simc analyze <spec.g>                 reachability, properties, MC report
 //! simc reduce  <spec.g>                 insert state signals until MC holds
 //! simc synth   <spec.g> [--rs] [--baseline] [--share] [--complex] [--verilog]
-//! simc verify  <spec.g> [--rs] [--baseline]             full flow + verdict
+//! simc verify  <spec.g> [--rs] [--baseline] [--share] [--complex]  full flow + verdict
 //! simc dot     <spec.g>                 Graphviz of the state graph
-//! simc convert <spec|file.edif> --to <fmt>  emit sg/edif/spice/dot; --list
+//! simc convert <spec|file.edif> --to <fmt>  emit sg/edif/spice/dot/verilog; --list
 //! simc batch   <manifest> [--threads <n>] [--out <path>]    run many specs
 //! simc fuzz    [--seed <n>] [--iters <n>] [--threads <n>]   differential fuzzing
 //! simc fuzz    --campaign [--corpus <dir>] [--shards <n>]   coverage-guided campaign
@@ -27,10 +27,16 @@
 //! subcommand: the state graph for `analyze`/`dot`, the synthesized
 //! netlist for `synth`/`verify` — so large repros stay inspectable. The
 //! rendering goes through the interchange-format registry (see
-//! [`simc::formats`]), the same `dot` format `simc convert` exposes.
+//! [`simc::formats`]), the same `dot` format `simc convert` exposes;
+//! `synth --verilog` prints the registry's `verilog` format the same way.
+//!
+//! `synth` and `verify` build one of the paper's implementations of the
+//! spec — the standard architecture, shared AND gates (`--share`), the
+//! Beerel–Meng baseline (`--baseline`) or complex gates (`--complex`) —
+//! through one route function, then print through one tail per command.
 //!
 //! `simc convert` re-emits a spec in any registered interchange format
-//! (`--to sg|edif|spice|dot`); an input that is itself an EDIF netlist
+//! (`--to sg|edif|spice|dot|verilog`); an input that is itself an EDIF netlist
 //! (from an earlier `convert`) is parsed back and re-emitted without
 //! running synthesis. `simc convert --list` prints the registry as JSON,
 //! byte-identical to the daemon's `GET /v1/formats`.
@@ -63,7 +69,8 @@
 //! spec numbering in outputs is the canonical (BFS-renumbered) form, so
 //! isomorphic inputs print identically.
 
-use std::io::Read;
+use std::borrow::Cow;
+use std::io::{Read, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -73,7 +80,7 @@ use simc::mc::baseline::synthesize_baseline;
 use simc::mc::gen::synthesize_generalized;
 use simc::mc::parallel::parallel_map;
 use simc::mc::synth::Target;
-use simc::netlist::{verify, VerifyOptions};
+use simc::netlist::{verify, Netlist, VerifyOptions};
 use simc::sg::StateGraph;
 use simc::{ErrorKind, Pipeline};
 
@@ -106,6 +113,11 @@ fn cli_error(error: simc::Error, context: &str) -> CliError {
         ErrorKind::Parse => CliError::usage(message),
         _ => CliError::failure(message),
     }
+}
+
+/// An operational failure (exit 1) carrying a component error's message.
+fn failed(error: impl std::fmt::Display) -> CliError {
+    CliError::failure(error.to_string())
 }
 
 fn main() -> ExitCode {
@@ -182,9 +194,9 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "verify",
         spec_arg: SpecArg::Yes,
-        switches: &["--rs", "--baseline", "--share", "--complex", "--verilog"],
+        switches: &["--rs", "--baseline", "--share", "--complex"],
         value_flags: &["--dot", "--threads", "--cache-dir"],
-        usage: "simc verify <spec> [--rs] [--baseline] [--share] [--complex] [--verilog] \
+        usage: "simc verify <spec> [--rs] [--baseline] [--share] [--complex] \
                 [--dot <path>] [--threads <n>] [--cache-dir <dir>]",
     },
     CommandSpec {
@@ -287,29 +299,27 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "analyze" => {
             let mut pipeline = pipeline_for(spec_path, target, &cache)?;
             if dot_path.is_some() {
-                let rendered = render_dot(&Artifact::Sg(elaborated(&mut pipeline)?.sg()));
+                let rendered = render("dot", &Artifact::Sg(elaborated(&mut pipeline)?.sg()));
                 write_dot(dot_path, || rendered)?;
             }
             analyze(pipeline)
         }
         "reduce" => reduce(pipeline_for(spec_path, target, &cache)?),
-        "synth" => {
+        "synth" | "verify" => {
             let mut pipeline = pipeline_for(spec_path, target, &cache)?;
-            if let Some(n) = parse_threads(threads)? {
-                pipeline = pipeline.with_threads(n);
+            if let Some(value) = threads {
+                pipeline = pipeline.with_threads(parse_count("--threads", value)?);
             }
-            synth(pipeline, target, &switches, dot_path)
-        }
-        "verify" => {
-            let mut pipeline = pipeline_for(spec_path, target, &cache)?;
-            if let Some(n) = parse_threads(threads)? {
-                pipeline = pipeline.with_threads(n);
+            let route = Route::of(&switches);
+            if spec.name == "synth" {
+                synth(pipeline, route, target, switches.contains(&"--verilog"), dot_path)
+            } else {
+                do_verify(pipeline, route, target, dot_path)
             }
-            do_verify(pipeline, target, &switches, dot_path)
         }
         "dot" => {
             let mut pipeline = pipeline_for(spec_path, target, &cache)?;
-            let rendered = render_dot(&Artifact::Sg(elaborated(&mut pipeline)?.sg()));
+            let rendered = render("dot", &Artifact::Sg(elaborated(&mut pipeline)?.sg()));
             match dot_path {
                 Some(_) => write_dot(dot_path, || rendered)?,
                 None => println!("{rendered}"),
@@ -324,22 +334,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
             &cache,
         ),
         "batch" => batch(spec_path, target, &cache, threads, out_path),
-        "fuzz" => {
-            let fuzz_values: Vec<(&str, &str)> = values
-                .iter()
-                .filter(|(f, _)| ["--seed", "--iters", "--shards", "--corpus", "--threads"].contains(f))
-                .copied()
-                .collect();
-            fuzz(&fuzz_values, switches.contains(&"--campaign"), out_path)
-        }
-        "serve" => {
-            let serve_values: Vec<(&str, &str)> = values
-                .iter()
-                .filter(|(f, _)| ["--addr", "--port", "--queue"].contains(f))
-                .copied()
-                .collect();
-            serve(&serve_values, threads, &cache)
-        }
+        "fuzz" => fuzz(&values, switches.contains(&"--campaign"), out_path),
+        "serve" => serve(&values, &cache),
         other => unreachable!("`{other}` is in COMMANDS but not dispatched"),
     };
     if stats {
@@ -399,25 +395,13 @@ fn flag_rejection(arg: &str) -> String {
     }
 }
 
-/// Parses `--threads` for the pipeline-driving commands.
-fn parse_threads(threads: Option<&str>) -> Result<Option<usize>, CliError> {
-    let Some(value) = threads else { return Ok(None) };
-    let parsed = value.parse::<u64>().map_err(|_| {
-        CliError::usage(format!("--threads needs an unsigned integer, got `{value}`"))
-    })?;
-    if parsed == 0 {
-        return Err(CliError::usage("--threads must be at least 1".to_string()));
-    }
-    Ok(Some(parsed as usize))
-}
-
-/// Renders an artifact through the registered `dot` format — the same
-/// emitter `simc convert --to dot` uses, so every Graphviz export in the
-/// binary shares one code path.
-fn render_dot(artifact: &Artifact<'_>) -> String {
-    simc::formats::by_id("dot")
+/// Renders an artifact through a registered format — the same emitters
+/// `simc convert --to <format>` uses, so every Graphviz (`--dot`) and
+/// Verilog (`--verilog`) export in the binary shares one code path.
+fn render(format: &str, artifact: &Artifact<'_>) -> String {
+    simc::formats::by_id(format)
         .and_then(|f| f.emit(artifact))
-        .expect("the dot format is registered and emits both artifact kinds")
+        .expect("the dot and verilog formats are registered and emit netlists")
 }
 
 /// `simc convert`: re-emit the spec (or an EDIF netlist) in a registered
@@ -465,12 +449,24 @@ fn convert(
     Ok(())
 }
 
-/// Parses a decimal or `0x`-prefixed hexadecimal u64.
-fn parse_u64(text: &str) -> Option<u64> {
-    if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        text.parse().ok()
+/// Parses a numeric flag's value: a decimal or `0x`-prefixed hexadecimal
+/// u64.
+fn parse_number(flag: &str, value: &str) -> Result<u64, CliError> {
+    let parsed = match value.strip_prefix("0x").or_else(|| value.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => value.parse().ok(),
+    };
+    parsed.ok_or_else(|| {
+        CliError::usage(format!("{flag} needs an unsigned integer, got `{value}`"))
+    })
+}
+
+/// Parses a count flag (`--threads`, `--shards`, `--queue`): an unsigned
+/// integer of at least 1, decimal or `0x` hexadecimal.
+fn parse_count(flag: &str, value: &str) -> Result<usize, CliError> {
+    match parse_number(flag, value)? {
+        0 => Err(CliError::usage(format!("{flag} must be at least 1"))),
+        count => Ok(count as usize),
     }
 }
 
@@ -485,39 +481,17 @@ fn make_cache(cache_dir: Option<&str>) -> Result<Option<Arc<dyn Cache>>, CliErro
 fn fuzz(values: &[(&str, &str)], campaign: bool, out_path: Option<&str>) -> Result<(), CliError> {
     let mut config = simc::fuzz::CampaignConfig::default();
     for &(flag, value) in values {
-        if flag == "--corpus" {
-            if !campaign {
-                return Err(CliError::usage(
-                    "`--corpus` requires `--campaign`".to_string(),
-                ));
-            }
-            config.corpus_dir = Some(std::path::PathBuf::from(value));
-            continue;
+        let campaign_only = matches!(flag, "--corpus" | "--shards");
+        if campaign_only && !campaign {
+            return Err(CliError::usage(format!("`{flag}` requires `--campaign`")));
         }
-        let parsed = parse_u64(value).ok_or_else(|| {
-            CliError::usage(format!("{flag} needs an unsigned integer, got `{value}`"))
-        })?;
         match flag {
-            "--seed" => config.seed = parsed,
-            "--iters" => config.iters = parsed,
-            "--threads" => {
-                if parsed == 0 {
-                    return Err(CliError::usage("--threads must be at least 1".to_string()));
-                }
-                config.threads = parsed as usize;
-            }
-            "--shards" => {
-                if !campaign {
-                    return Err(CliError::usage(
-                        "`--shards` requires `--campaign`".to_string(),
-                    ));
-                }
-                if parsed == 0 {
-                    return Err(CliError::usage("--shards must be at least 1".to_string()));
-                }
-                config.shards = parsed as usize;
-            }
-            _ => unreachable!("only fuzz value flags reach here"),
+            "--corpus" => config.corpus_dir = Some(std::path::PathBuf::from(value)),
+            "--seed" => config.seed = parse_number(flag, value)?,
+            "--iters" => config.iters = parse_number(flag, value)?,
+            "--threads" => config.threads = parse_count(flag, value)?,
+            "--shards" => config.shards = parse_count(flag, value)?,
+            _ => {} // `--out` and the global flags, read by `run`
         }
     }
     if out_path.is_some() && !campaign {
@@ -530,107 +504,76 @@ fn fuzz(values: &[(&str, &str)], campaign: bool, out_path: Option<&str>) -> Resu
     if config.iters == 0 {
         return Err(CliError::usage("--iters must be at least 1".to_string()));
     }
-    if campaign {
-        return fuzz_campaign(&config, out_path);
+    if !campaign {
+        let report = simc::fuzz::run(simc::fuzz::FuzzConfig {
+            seed: config.seed,
+            iters: config.iters,
+            threads: config.threads,
+            ..simc::fuzz::FuzzConfig::default()
+        });
+        let faults = (report.faults_injected, report.faults_detected);
+        let summary = report.summary();
+        return report_fuzz(&mut std::io::stdout(), &summary, config.seed, &report.failures, faults);
     }
-    let config = simc::fuzz::FuzzConfig {
-        seed: config.seed,
-        iters: config.iters,
-        threads: config.threads,
-        ..simc::fuzz::FuzzConfig::default()
-    };
-    let report = simc::fuzz::run(config);
-    println!("{}", report.summary());
-    for failure in &report.failures {
-        println!();
-        println!(
-            "case {} (seed {:#x}) disagrees with oracle `{}`: {}",
-            failure.case_index,
-            config.seed,
-            failure.oracle.name(),
-            failure.detail
-        );
-        println!("shrunk in {} step(s) to this repro:", failure.shrink_steps);
-        print!("{}", failure.repro_sg);
-    }
-    if report.is_ok() {
-        Ok(())
-    } else if report.failures.is_empty() {
-        Err(CliError::failure(format!(
-            "{}/{} injected fault(s) went undetected",
-            report.faults_injected - report.faults_detected,
-            report.faults_injected
-        )))
-    } else {
-        Err(CliError::failure(format!(
-            "{} oracle disagreement(s)",
-            report.failures.len()
-        )))
-    }
-}
-
-/// Runs a coverage-guided campaign: the deterministic JSON summary goes
-/// to stdout (or `--out`), human-readable progress and failure repros to
-/// stderr, so the summary stays byte-comparable across runs.
-fn fuzz_campaign(
-    config: &simc::fuzz::CampaignConfig,
-    out_path: Option<&str>,
-) -> Result<(), CliError> {
-    let report = simc::fuzz::run_campaign(config)
+    // A campaign's deterministic JSON summary goes to stdout (or
+    // `--out`), its human-readable report to stderr, so the summary
+    // stays byte-comparable across runs.
+    let report = simc::fuzz::run_campaign(&config)
         .map_err(|e| CliError::failure(format!("campaign corpus: {e}")))?;
-    eprintln!("{}", report.summary());
-    for failure in &report.failures {
-        eprintln!();
-        eprintln!(
-            "case {} (seed {:#x}) disagrees with oracle `{}`: {}",
-            failure.case_index,
-            config.seed,
-            failure.oracle.name(),
-            failure.detail
-        );
-        eprintln!("shrunk in {} step(s) to this repro:", failure.shrink_steps);
-        eprint!("{}", failure.repro_sg);
-    }
+    let faults = (report.faults_injected, report.faults_detected);
+    let summary = report.summary();
+    let verdict =
+        report_fuzz(&mut std::io::stderr(), &summary, config.seed, &report.failures, faults);
     let json = report.to_json();
     match out_path {
         Some(path) => std::fs::write(path, &json)
             .map_err(|e| CliError::failure(format!("writing {path}: {e}")))?,
         None => print!("{json}"),
     }
-    if report.is_ok() {
-        Ok(())
-    } else if report.failures.is_empty() {
+    verdict
+}
+
+/// Prints a fuzz run's summary and every shrunk failure with its repro,
+/// and turns the outcome into the exit verdict: a failure when an oracle
+/// disagreed or an injected fault went undetected.
+fn report_fuzz(
+    out: &mut dyn std::io::Write,
+    summary: &str,
+    seed: u64,
+    failures: &[simc::fuzz::FailureReport],
+    (injected, detected): (u64, u64),
+) -> Result<(), CliError> {
+    let _ = writeln!(out, "{summary}");
+    for failure in failures {
+        let _ = writeln!(out);
+        let _ = writeln!(
+            out,
+            "case {} (seed {seed:#x}) disagrees with oracle `{}`: {}",
+            failure.case_index,
+            failure.oracle.name(),
+            failure.detail
+        );
+        let _ = writeln!(out, "shrunk in {} step(s) to this repro:", failure.shrink_steps);
+        let _ = write!(out, "{}", failure.repro_sg);
+    }
+    if !failures.is_empty() {
+        Err(CliError::failure(format!("{} oracle disagreement(s)", failures.len())))
+    } else if injected != detected {
         Err(CliError::failure(format!(
-            "{}/{} injected fault(s) went undetected",
-            report.faults_injected - report.faults_detected,
-            report.faults_injected
+            "{}/{injected} injected fault(s) went undetected",
+            injected - detected
         )))
     } else {
-        Err(CliError::failure(format!(
-            "{} oracle disagreement(s)",
-            report.failures.len()
-        )))
+        Ok(())
     }
 }
 
 /// Runs the HTTP daemon until a `POST /shutdown` drains it.
-fn serve(
-    values: &[(&str, &str)],
-    threads: Option<&str>,
-    cache: &Option<Arc<dyn Cache>>,
-) -> Result<(), CliError> {
+fn serve(values: &[(&str, &str)], cache: &Option<Arc<dyn Cache>>) -> Result<(), CliError> {
     let mut config = simc::serve::ServeConfig { cache: cache.clone(), ..Default::default() };
-    if let Some(value) = threads {
-        let parsed = parse_u64(value).ok_or_else(|| {
-            CliError::usage(format!("--threads needs an unsigned integer, got `{value}`"))
-        })?;
-        if parsed == 0 {
-            return Err(CliError::usage("--threads must be at least 1".to_string()));
-        }
-        config.workers = parsed as usize;
-    }
     for &(flag, value) in values {
         match flag {
+            "--threads" => config.workers = parse_count(flag, value)?,
             "--addr" => config.addr = value.to_string(),
             "--port" => {
                 let port: u16 = value.parse().map_err(|_| {
@@ -638,16 +581,8 @@ fn serve(
                 })?;
                 config.addr = format!("127.0.0.1:{port}");
             }
-            "--queue" => {
-                let parsed = parse_u64(value).ok_or_else(|| {
-                    CliError::usage(format!("--queue needs an unsigned integer, got `{value}`"))
-                })?;
-                if parsed == 0 {
-                    return Err(CliError::usage("--queue must be at least 1".to_string()));
-                }
-                config.queue_capacity = parsed as usize;
-            }
-            _ => unreachable!("only serve value flags reach here"),
+            "--queue" => config.queue_capacity = parse_count(flag, value)?,
+            _ => {} // `--cache-dir` and the global flags, read by `run`
         }
     }
     let addr = config.addr.clone();
@@ -656,7 +591,6 @@ fn serve(
     // Announce the bound (possibly ephemeral) port on stdout and flush:
     // drivers like `loadgen` block on this line to learn the address.
     println!("listening on http://{}", server.addr());
-    use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.join();
     Ok(())
@@ -667,6 +601,21 @@ fn serve(
 enum Spec {
     Text(String),
     Sg(StateGraph),
+}
+
+impl Spec {
+    /// A pipeline over the spec for `target`, on the shared cache if any.
+    fn into_pipeline(self, target: Target, cache: &Option<Arc<dyn Cache>>) -> Pipeline {
+        let pipeline = match self {
+            Spec::Text(text) => Pipeline::from_text(text),
+            Spec::Sg(sg) => Pipeline::from_sg(sg),
+        }
+        .with_target(target);
+        match cache {
+            Some(cache) => pipeline.with_cache(Arc::clone(cache)),
+            None => pipeline,
+        }
+    }
 }
 
 /// Loads a spec argument: `-` is stdin, a readable file is its text, and
@@ -716,14 +665,7 @@ fn pipeline_from_spec(
     target: Target,
     cache: &Option<Arc<dyn Cache>>,
 ) -> Result<Pipeline, CliError> {
-    let mut pipeline = match spec {
-        Spec::Text(text) => Pipeline::from_text(text),
-        Spec::Sg(sg) => Pipeline::from_sg(sg),
-    };
-    pipeline = pipeline.with_target(target);
-    if let Some(cache) = cache {
-        pipeline = pipeline.with_cache(Arc::clone(cache));
-    }
+    let mut pipeline = spec.into_pipeline(target, cache);
     pipeline
         .elaborated()
         .map_err(|e| cli_error(e, &format!("parsing {label}")))?;
@@ -816,162 +758,143 @@ fn reduce(mut pipeline: Pipeline) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Prints the insertion note `verify`/`synth` emit when the spec needed
-/// MC-reduction.
-fn note_insertions(added: usize) {
+/// Which of the paper's implementations of a state graph `synth` and
+/// `verify` build.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// The standard C-element / RS-latch architecture after MC-reduction:
+    /// the pipeline's own synthesis and verification stages.
+    Standard,
+    /// Shared AND gates (`--share`) over the MC-reduced graph.
+    Share,
+    /// The Beerel–Meng-style baseline (`--baseline`). It deliberately
+    /// skips MC-reduction, so it fails (exit 1) exactly where that style
+    /// of synthesis would.
+    Baseline,
+    /// One atomic complex gate per output (`--complex`): CSC suffices,
+    /// so no signal is inserted.
+    Complex,
+}
+
+impl Route {
+    /// The route the switches select; `--complex` wins over `--baseline`,
+    /// which wins over `--share`.
+    fn of(switches: &[&str]) -> Route {
+        if switches.contains(&"--complex") {
+            Route::Complex
+        } else if switches.contains(&"--baseline") {
+            Route::Baseline
+        } else if switches.contains(&"--share") {
+            Route::Share
+        } else {
+            Route::Standard
+        }
+    }
+}
+
+/// What a route built: the netlist, the graph that netlist must
+/// implement, and its equations (none for complex gates).
+struct Routed<'p> {
+    netlist: Cow<'p, Netlist>,
+    graph: &'p StateGraph,
+    equations: Option<String>,
+}
+
+/// Builds the netlist of `route`. The standard route borrows the
+/// pipeline's implementation; the others synthesize beside it.
+fn implement(
+    pipeline: &mut Pipeline,
+    route: Route,
+    target: Target,
+) -> Result<Routed<'_>, CliError> {
+    if let Route::Baseline | Route::Complex = route {
+        let graph = elaborated(pipeline)?.sg();
+        let (netlist, equations) = if route == Route::Complex {
+            (simc::mc::complex::synthesize_complex(graph).map_err(failed)?, None)
+        } else {
+            let implementation = synthesize_baseline(graph, target).map_err(failed)?;
+            (implementation.to_netlist().map_err(failed)?, Some(implementation.equations()))
+        };
+        return Ok(Routed { netlist: Cow::Owned(netlist), graph, equations });
+    }
+    let implemented = pipeline.implemented().map_err(|e| cli_error(e, "synthesis"))?;
+    let added = implemented.added_signals();
     if added > 0 {
         eprintln!("note: inserted {added} state signal(s) to satisfy MC");
     }
+    let graph = implemented.working_sg();
+    if route == Route::Share {
+        let implementation = synthesize_generalized(graph, target).map_err(failed)?;
+        let netlist = implementation.to_netlist().map_err(failed)?;
+        let equations = Some(implementation.equations());
+        return Ok(Routed { netlist: Cow::Owned(netlist), graph, equations });
+    }
+    let equations = Some(implemented.implementation().equations());
+    Ok(Routed { netlist: Cow::Borrowed(implemented.netlist()), graph, equations })
 }
 
 fn synth(
     mut pipeline: Pipeline,
+    route: Route,
     target: Target,
-    flags: &[&str],
+    verilog: bool,
     dot_path: Option<&str>,
 ) -> Result<(), CliError> {
-    if flags.contains(&"--complex") {
-        // Complex-gate style: CSC suffices, no insertion needed.
-        let sg = elaborated(&mut pipeline)?.sg();
-        let netlist = simc::mc::complex::synthesize_complex(sg)
-            .map_err(|e| CliError::failure(e.to_string()))?;
-        write_dot(dot_path, || render_dot(&Artifact::Netlist(&netlist)))?;
-        if flags.contains(&"--verilog") {
-            print!("{}", simc::netlist::primitive_library());
-            print!("{}", simc::netlist::to_verilog(&netlist, "simc_top"));
-        } else {
-            println!("(one atomic complex gate per output; see --verilog for the functions)");
-        }
-        eprintln!("{}", netlist.stats());
-        return Ok(());
-    }
-    if flags.contains(&"--baseline") {
-        // The baseline route deliberately skips MC-reduction: it fails
-        // (exit 1) exactly where Beerel–Meng-style synthesis would.
-        let sg = elaborated(&mut pipeline)?.sg();
-        let implementation =
-            synthesize_baseline(sg, target).map_err(|e| CliError::failure(e.to_string()))?;
-        let netlist = implementation
-            .to_netlist()
-            .map_err(|e| CliError::failure(e.to_string()))?;
-        write_dot(dot_path, || render_dot(&Artifact::Netlist(&netlist)))?;
-        if flags.contains(&"--verilog") {
-            print!("{}", simc::netlist::primitive_library());
-            print!("{}", simc::netlist::to_verilog(&netlist, "simc_top"));
-        } else {
-            print!("{}", implementation.equations());
-        }
-        eprintln!("{}", netlist.stats());
-        return Ok(());
-    }
-    let implemented = pipeline.implemented().map_err(|e| cli_error(e, "synthesis"))?;
-    note_insertions(implemented.added_signals());
-    if flags.contains(&"--share") {
-        let implementation = synthesize_generalized(implemented.working_sg(), target)
-            .map_err(|e| CliError::failure(e.to_string()))?;
-        let netlist = implementation
-            .to_netlist()
-            .map_err(|e| CliError::failure(e.to_string()))?;
-        write_dot(dot_path, || render_dot(&Artifact::Netlist(&netlist)))?;
-        if flags.contains(&"--verilog") {
-            print!("{}", simc::netlist::primitive_library());
-            print!("{}", simc::netlist::to_verilog(&netlist, "simc_top"));
-        } else {
-            print!("{}", implementation.equations());
-        }
-        eprintln!("{}", netlist.stats());
-        return Ok(());
-    }
-    write_dot(dot_path, || render_dot(&Artifact::Netlist(implemented.netlist())))?;
-    if flags.contains(&"--verilog") {
-        print!("{}", simc::netlist::primitive_library());
-        print!("{}", simc::netlist::to_verilog(implemented.netlist(), "simc_top"));
+    let routed = implement(&mut pipeline, route, target)?;
+    let netlist = Artifact::Netlist(&routed.netlist);
+    write_dot(dot_path, || render("dot", &netlist))?;
+    if verilog {
+        print!("{}", render("verilog", &netlist));
+    } else if let Some(equations) = &routed.equations {
+        print!("{equations}");
     } else {
-        print!("{}", implemented.implementation().equations());
+        println!("(one atomic complex gate per output; see --verilog for the functions)");
     }
-    eprintln!("{}", implemented.netlist().stats());
+    eprintln!("{}", routed.netlist.stats());
     Ok(())
 }
 
 fn do_verify(
     mut pipeline: Pipeline,
+    route: Route,
     target: Target,
-    flags: &[&str],
     dot_path: Option<&str>,
 ) -> Result<(), CliError> {
-    if flags.contains(&"--complex") {
-        let sg = elaborated(&mut pipeline)?.sg();
-        let netlist = simc::mc::complex::synthesize_complex(sg)
-            .map_err(|e| CliError::failure(e.to_string()))?;
-        write_dot(dot_path, || render_dot(&Artifact::Netlist(&netlist)))?;
-        let report = verify(&netlist, sg, VerifyOptions::default())
-            .map_err(|e| CliError::failure(e.to_string()))?;
-        println!(
-            "{} ({} composed states explored)",
-            if report.is_ok() { "hazard-free" } else { "HAZARDOUS" },
-            report.explored
-        );
-        return if report.is_ok() {
-            Ok(())
+    // The alternative routes are not pipeline stages: the verifier runs
+    // directly on their netlists. The standard route's verdict is the
+    // pipeline's (and so shares its cache).
+    let direct = {
+        let routed = implement(&mut pipeline, route, target)?;
+        // Export before the verdict so hazardous repros stay inspectable.
+        write_dot(dot_path, || render("dot", &Artifact::Netlist(&routed.netlist)))?;
+        if route == Route::Standard {
+            None
         } else {
-            Err(CliError::failure(format!("{} violation(s) found", report.violations.len())))
-        };
-    }
-    if flags.contains(&"--baseline") || flags.contains(&"--share") {
-        // The alternative synthesis routes are not pipeline stages; run
-        // the verifier directly against their netlists.
-        let (implementation, working) = if flags.contains(&"--baseline") {
-            let sg = elaborated(&mut pipeline)?.sg().clone();
-            let implementation =
-                synthesize_baseline(&sg, target).map_err(|e| CliError::failure(e.to_string()))?;
-            (implementation, sg)
-        } else {
-            let implemented = pipeline.implemented().map_err(|e| cli_error(e, "synthesis"))?;
-            note_insertions(implemented.added_signals());
-            let implementation = synthesize_generalized(implemented.working_sg(), target)
-                .map_err(|e| CliError::failure(e.to_string()))?;
-            (implementation, implemented.working_sg().clone())
-        };
-        let netlist = implementation
-            .to_netlist()
-            .map_err(|e| CliError::failure(e.to_string()))?;
-        write_dot(dot_path, || render_dot(&Artifact::Netlist(&netlist)))?;
-        let report = verify(&netlist, &working, VerifyOptions::default())
-            .map_err(|e| CliError::failure(e.to_string()))?;
-        println!(
-            "{} ({} composed states explored)",
-            if report.is_ok() { "hazard-free" } else { "HAZARDOUS" },
-            report.explored
-        );
-        for violation in &report.violations {
-            println!("  {}", report.describe(&netlist, &working, violation));
+            let (netlist, graph) = (routed.netlist.as_ref(), routed.graph);
+            let report = verify(netlist, graph, VerifyOptions::default()).map_err(failed)?;
+            let violations =
+                report.violations.iter().map(|v| report.describe(netlist, graph, v)).collect();
+            Some((report.is_ok(), report.explored, violations))
         }
-        return if report.is_ok() {
-            Ok(())
-        } else {
-            Err(CliError::failure(format!("{} violation(s) found", report.violations.len())))
-        };
-    }
-    let implemented = pipeline.implemented().map_err(|e| cli_error(e, "synthesis"))?;
-    note_insertions(implemented.added_signals());
-    // Export before the verdict so hazardous repros stay inspectable.
-    let rendered = dot_path.is_some().then(|| render_dot(&Artifact::Netlist(implemented.netlist())));
-    if let Some(rendered) = rendered {
-        write_dot(dot_path, || rendered)?;
-    }
-    let verified = pipeline.verified().map_err(|e| cli_error(e, "verification"))?;
+    };
+    let (ok, explored, violations): (bool, usize, Vec<String>) = match direct {
+        Some(verdict) => verdict,
+        None => {
+            let verified = pipeline.verified().map_err(|e| cli_error(e, "verification"))?;
+            (verified.is_ok(), verified.explored(), verified.violations().to_vec())
+        }
+    };
     println!(
-        "{} ({} composed states explored)",
-        if verified.is_ok() { "hazard-free" } else { "HAZARDOUS" },
-        verified.explored()
+        "{} ({explored} composed states explored)",
+        if ok { "hazard-free" } else { "HAZARDOUS" }
     );
-    for violation in verified.violations() {
+    for violation in &violations {
         println!("  {violation}");
     }
-    if verified.is_ok() {
+    if ok {
         Ok(())
     } else {
-        Err(CliError::failure(format!("{} violation(s) found", verified.violations().len())))
+        Err(CliError::failure(format!("{} violation(s) found", violations.len())))
     }
 }
 
@@ -1015,15 +938,7 @@ fn batch(
     let manifest_path = manifest.ok_or_else(|| CliError::usage(usage()))?;
     let threads = match threads {
         None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Some(value) => {
-            let parsed = parse_u64(value).ok_or_else(|| {
-                CliError::usage(format!("--threads needs an unsigned integer, got `{value}`"))
-            })?;
-            if parsed == 0 {
-                return Err(CliError::usage("--threads must be at least 1".to_string()));
-            }
-            parsed as usize
-        }
+        Some(value) => parse_count("--threads", value)?,
     };
     let text = std::fs::read_to_string(manifest_path)
         .map_err(|e| CliError::usage(format!("reading {manifest_path}: {e}")))?;
@@ -1118,14 +1033,7 @@ fn run_job(job: &BatchJob, cache: &Option<Arc<dyn Cache>>) -> JobOutcome {
             return outcome(Err((ErrorKind::Parse, m)));
         }
     };
-    let mut pipeline = match spec {
-        Spec::Text(text) => Pipeline::from_text(text),
-        Spec::Sg(sg) => Pipeline::from_sg(sg),
-    };
-    pipeline = pipeline.with_target(job.target).with_threads(1);
-    if let Some(cache) = cache {
-        pipeline = pipeline.with_cache(Arc::clone(cache));
-    }
+    let mut pipeline = spec.into_pipeline(job.target, cache).with_threads(1);
     let run = |pipeline: &mut Pipeline| -> Result<JobMetrics, simc::Error> {
         let states = pipeline.elaborated()?.sg().state_count();
         let mc_satisfied = pipeline.covered()?.report().satisfied();

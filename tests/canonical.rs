@@ -10,7 +10,9 @@ use std::sync::{Arc, Mutex};
 use simc::cache::{Cache, Key, MemCache};
 use simc::fuzz::{random_recipe, GenConfig, Rng};
 use simc::pipeline::Pipeline;
-use simc::sg::{canonical_graph, canonical_sg, parse_sg, write_sg, StateGraph};
+use simc::sg::{
+    canonical_graph, canonical_sg, parse_sg, write_sg, SgBuilder, SignalKind, StateCode, StateGraph,
+};
 
 /// The first field in which two graphs differ, for a readable failure on
 /// graphs too large to print.
@@ -178,6 +180,35 @@ fn fuzz_specs_canonicalize_in_memory_and_ignore_arc_order() {
             first_difference(&canonical, &from_shuffled)
         );
     }
+}
+
+/// A graph with no transitions: its initial state alone, with the input
+/// `a` held at 1 and the input `b` at 0.
+fn one_state() -> StateGraph {
+    let mut builder = SgBuilder::new();
+    let a = builder.add_signal("a", SignalKind::Input).unwrap();
+    builder.add_signal("b", SignalKind::Input).unwrap();
+    let only = builder.add_state(StateCode::zero().with_value(a, true));
+    builder.set_initial(only);
+    builder.build().expect("a one-state graph builds")
+}
+
+#[test]
+fn one_state_graph_canonicalizes_in_memory() {
+    let canonical = assert_canonical_agrees("one-state", &one_state());
+    assert_eq!((canonical.state_count(), canonical.edge_count()), (1, 0));
+}
+
+#[test]
+fn one_state_graph_runs_alike_from_memory_and_from_its_text() {
+    let sg = one_state();
+    let from_sg = run(Pipeline::from_sg(sg.clone()));
+    let from_text = run(Pipeline::from_text(canonical_sg(&sg, "one_state")));
+    assert_eq!(
+        from_sg, from_text,
+        "in-memory source differs from its canonical text"
+    );
+    assert!(from_sg.3, "the implementation verifies");
 }
 
 /// A ring over `a`/`b` beside an input `c` that never switches and

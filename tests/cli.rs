@@ -646,3 +646,68 @@ fn convert_warm_cache_skips_reemission() {
     let hits = counter(&warm_stats, "cache.hits");
     assert!(hits.is_some_and(|n| n > 0), "warm run shows no cache hits");
 }
+
+#[test]
+fn verify_rejects_verilog() {
+    let (_, stderr, code) = run_with_stdin(&["verify", "-", "--verilog"], D_ELEMENT);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("`--verilog` is only valid with `simc synth`"), "{stderr}");
+}
+
+#[test]
+fn threads_accept_hex_on_synth_as_on_batch() {
+    let tmp = TempDir::new("hex_threads");
+    let manifest = tmp.file("manifest.txt");
+    std::fs::write(&manifest, "benchmarks/Delement\n").expect("write manifest");
+    let (_, stderr, code) = run_with_stdin(&["batch", &manifest, "--threads", "0x2"], "");
+    assert_eq!(code, 0, "{stderr}");
+    let (hex, stderr, code) = run_with_stdin(&["synth", "-", "--threads", "0x2"], D_ELEMENT);
+    assert_eq!(code, 0, "{stderr}");
+    let (decimal, _, _) = run_with_stdin(&["synth", "-", "--threads", "2"], D_ELEMENT);
+    assert_eq!(hex, decimal, "--threads 0x2 and --threads 2 disagree");
+    let (_, stderr, code) = run_with_stdin(&["synth", "-", "--threads", "0x0"], D_ELEMENT);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("--threads must be at least 1"), "{stderr}");
+}
+
+#[test]
+fn synth_share_prints_shared_equations() {
+    let (stdout, stderr, code) = run_with_stdin(&["synth", "-", "--share"], D_ELEMENT);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("Scsc0 = a2\n"), "{stdout}");
+    assert!(stderr.contains("inserted 1 state signal"), "{stderr}");
+    assert!(stderr.contains("13 literals"), "{stderr}");
+}
+
+#[test]
+fn synth_complex_verilog_prints_one_gate_per_output() {
+    let args = ["synth", "benchmarks/mp-forward-pkt", "--complex", "--verilog"];
+    let (stdout, stderr, code) = run_with_stdin(&args, "");
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.starts_with("// Asynchronous primitive library"), "{stdout}");
+    assert!(stdout.contains("  assign ack = (done);\n"), "{stdout}");
+    assert!(stderr.contains("4 other, 7 literals"), "{stderr}");
+}
+
+#[test]
+fn verify_baseline_runs_the_verifier_or_fails_on_csc() {
+    let (stdout, stderr, code) =
+        run_with_stdin(&["verify", "benchmarks/mp-forward-pkt", "--baseline"], "");
+    assert_eq!(code, 0, "{stderr}");
+    assert_eq!(stdout, "hazard-free (28 composed states explored)\n");
+    let (stdout, stderr, code) = run_with_stdin(&["verify", "-", "--baseline"], D_ELEMENT);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(stderr.contains("complete state coding violation"), "{stderr}");
+}
+
+#[test]
+fn convert_to_verilog_matches_synth_verilog() {
+    let (converted, stderr, code) =
+        run_with_stdin(&["convert", "benchmarks/Delement", "--to", "verilog"], "");
+    assert_eq!(code, 0, "{stderr}");
+    let (synthesized, stderr, code) =
+        run_with_stdin(&["synth", "benchmarks/Delement", "--verilog"], "");
+    assert_eq!(code, 0, "{stderr}");
+    assert_eq!(converted, synthesized);
+    assert!(converted.contains("module simc_top ("), "{converted}");
+}

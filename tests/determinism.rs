@@ -8,7 +8,8 @@ use simc::benchmarks::{generators, suite};
 use simc::mc::assign::{reduce_to_mc, ReduceOptions};
 use simc::mc::synth::{synthesize, Target};
 use simc::mc::{McCheck, ParallelSynth};
-use simc::sg::{write_sg, StateGraph};
+use simc::obs::Counter;
+use simc::sg::{canonical_graph, write_sg, StateGraph};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -69,35 +70,80 @@ fn mc_reduction_identical_across_thread_counts() {
     }
 }
 
+/// A fuzz-generated spec (`simc_fuzz::random_recipe` with double-pulse
+/// CSC injection): at two beam nodes the primary candidate search finds
+/// nothing, so the portfolio races its alternative configurations, and
+/// the first of them rescues one node.
+const PORTFOLIO_RACER: &str = "\
+.model fuzz
+.inputs s2
+.outputs s0 s1 s3 s4 s5 z
+.graph
+s1+ s1-
+s0+ s1+
+s2+ s3+
+s1- s2+
+s4+ s5+
+s1+/2 s1-/2
+s0- s1+/2
+s2- s3-
+s1-/2 s2-
+s4- s5-
+s3+ z+
+s5+ z+
+z+ s0-
+z+ s4-
+s3- z-
+s5- z-
+z- s0+
+z- s4+
+.marking { <z-,s0+> <z-,s4+> }
+.end
+";
+
 #[test]
 fn portfolio_reduction_identical_across_thread_counts() {
     // The portfolio fallback races differently-phase-biased solver
     // configurations; the race must not leak scheduling into results.
     // Synthesize the reduced graph to a netlist and compare the rendered
-    // text byte for byte across thread counts, portfolio on and off-size.
-    for b in suite::all().into_iter().take(4) {
-        let sg = b.stg.to_state_graph().expect("suite benchmark reaches");
-        let netlist_of = |opts: ReduceOptions| {
-            let reduced = reduce_to_mc(&sg, opts).expect("reduces");
-            let implementation =
-                synthesize(&reduced.sg, Target::CElement).expect("synthesizes");
-            format!(
-                "{}\n{}\n{:?}",
-                write_sg(&reduced.sg, b.name),
-                implementation.equations(),
-                implementation.to_netlist().map(|nl| nl.stats().to_string())
-            )
+    // text byte for byte across thread counts. The spec is reduced in
+    // canonical numbering, as the pipeline reduces it.
+    let sg = canonical_graph(
+        &simc::stg::parse_g(PORTFOLIO_RACER)
+            .expect("spec parses")
+            .to_state_graph()
+            .expect("spec reaches"),
+    );
+    let netlist_of = |threads: usize| {
+        // The fuzzer's reduction budget, under which the race happens.
+        let opts = ReduceOptions {
+            max_signals: 4,
+            branch: 4,
+            threads,
+            portfolio: 3,
+            ..ReduceOptions::default()
         };
-        let baseline =
-            netlist_of(ReduceOptions { threads: 1, portfolio: 3, ..ReduceOptions::default() });
-        for threads in THREADS {
-            let got = netlist_of(ReduceOptions {
-                threads,
-                portfolio: 3,
-                ..ReduceOptions::default()
-            });
-            assert_eq!(got, baseline, "{}: {threads} threads diverged", b.name);
-        }
+        let reduced = reduce_to_mc(&sg, opts).expect("reduces");
+        let implementation = synthesize(&reduced.sg, Target::CElement).expect("synthesizes");
+        format!(
+            "{}\n{}\n{:?}",
+            write_sg(&reduced.sg, "racer"),
+            implementation.equations(),
+            implementation.to_netlist().map(|nl| nl.stats().to_string())
+        )
+    };
+    // A single-threaded run records every counter on this thread, so the
+    // scope sees the whole reduction.
+    simc::obs::set_counters(true);
+    let scope = simc::obs::scope();
+    let baseline = netlist_of(1);
+    let counters = scope.finish();
+    let count = |counter: Counter| counters.iter().find(|&&(c, _)| c == counter).map_or(0, |c| c.1);
+    assert!(count(Counter::PortfolioRaces) > 0, "the spec no longer races the portfolio");
+    let wins = [Counter::PortfolioWinsCfg1, Counter::PortfolioWinsCfg2, Counter::PortfolioWinsCfg3];
+    assert!(wins.into_iter().any(|w| count(w) > 0), "no portfolio configuration won a race");
+    for threads in THREADS {
+        assert_eq!(netlist_of(threads), baseline, "{threads} threads diverged");
     }
 }
 
