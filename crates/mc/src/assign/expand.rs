@@ -1,6 +1,6 @@
 //! Phase assignments and state-graph expansion.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use simc_sg::{SgBuilder, SignalKind, StateGraph, StateId, Transition};
@@ -146,6 +146,16 @@ impl Assignment {
 /// inconsistent (never for validated assignments).
 pub fn expand(sg: &StateGraph, asg: &Assignment, name: &str) -> Result<StateGraph, McError> {
     asg.validate(sg)?;
+    expand_validated(sg, asg, name)
+}
+
+/// [`expand`] for an assignment that already passed
+/// [`Assignment::validate`] against `sg`.
+pub(crate) fn expand_validated(
+    sg: &StateGraph,
+    asg: &Assignment,
+    name: &str,
+) -> Result<StateGraph, McError> {
     let mut builder = SgBuilder::new();
     for sig in sg.signal_ids() {
         builder.add_signal(sg.signal(sig).name(), sg.signal(sig).kind())?;
@@ -153,30 +163,29 @@ pub fn expand(sg: &StateGraph, asg: &Assignment, name: &str) -> Result<StateGrap
     let x = builder.add_signal(name, SignalKind::Internal)?;
 
     // Breadth-first construction over (state, rail) pairs so only
-    // reachable copies are materialized.
+    // reachable copies are materialized. The copy of original state `s`
+    // on rail `r` of the new signal lives in slot `2·s + r` of `ids`.
     let initial_rail = match asg.phase(sg.initial()) {
         Phase::Zero | Phase::Up => false,
         Phase::One | Phase::Down => true,
     };
-    // A copy of an original state on one rail of the new signal.
-    type Copy2 = (StateId, bool);
-    let mut ids: HashMap<Copy2, simc_sg::StateId> = HashMap::new();
-    let mut queue = std::collections::VecDeque::new();
-    let mut edges: Vec<(Copy2, Transition, Copy2)> = Vec::new();
+    let slot = |s: StateId, rail: bool| 2 * s.index() + usize::from(rail);
+    let mut ids: Vec<Option<StateId>> = vec![None; 2 * sg.state_count()];
+    let mut queue = VecDeque::new();
 
     let code_of = |s: StateId, rail: bool| sg.code(s).with_value(x, rail);
-    let start = (sg.initial(), initial_rail);
-    let s0 = builder.add_state(code_of(start.0, start.1));
+    let s0 = builder.add_state(code_of(sg.initial(), initial_rail));
     builder.set_initial(s0);
-    ids.insert(start, s0);
-    queue.push_back(start);
+    ids[slot(sg.initial(), initial_rail)] = Some(s0);
+    queue.push_back((sg.initial(), initial_rail, s0));
 
-    while let Some((s, rail)) = queue.pop_front() {
-        let mut targets: Vec<(Transition, (StateId, bool))> = Vec::new();
+    let mut targets: Vec<(Transition, StateId, bool)> = Vec::new();
+    while let Some((s, rail, from)) = queue.pop_front() {
+        targets.clear();
         // The new signal's own transition.
         match (asg.phase(s), rail) {
-            (Phase::Up, false) => targets.push((Transition::rise(x), (s, true))),
-            (Phase::Down, true) => targets.push((Transition::fall(x), (s, false))),
+            (Phase::Up, false) => targets.push((Transition::rise(x), s, true)),
+            (Phase::Down, true) => targets.push((Transition::fall(x), s, false)),
             _ => {}
         }
         // Original transitions stay on the same rail when the target copy
@@ -190,19 +199,21 @@ pub fn expand(sg: &StateGraph, asg: &Assignment, name: &str) -> Result<StateGrap
             // A Down state's low copy exists, but entering it from a One
             // state's high rail is impossible; the rail decides.
             if exists {
-                targets.push((t, (next, rail)));
+                targets.push((t, next, rail));
             }
         }
-        for (t, target) in targets {
-            if let std::collections::hash_map::Entry::Vacant(entry) = ids.entry(target) {
-                entry.insert(builder.add_state(code_of(target.0, target.1)));
-                queue.push_back(target);
-            }
-            edges.push(((s, rail), t, target));
+        for &(t, next, next_rail) in &targets {
+            let to = match ids[slot(next, next_rail)] {
+                Some(to) => to,
+                None => {
+                    let to = builder.add_state(code_of(next, next_rail));
+                    ids[slot(next, next_rail)] = Some(to);
+                    queue.push_back((next, next_rail, to));
+                    to
+                }
+            };
+            builder.add_edge(from, t, to)?;
         }
-    }
-    for (from, t, to) in edges {
-        builder.add_edge(ids[&from], t, ids[&to])?;
     }
     builder.build().map_err(McError::Sg)
 }

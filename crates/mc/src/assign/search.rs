@@ -3,7 +3,7 @@
 use simc_sat::{Lit, SatResult, Solver, Var};
 use simc_sg::{ErId, StateGraph, StateId};
 
-use crate::assign::expand::{expand, Assignment, Phase};
+use crate::assign::expand::{expand_validated, Assignment, Phase};
 use crate::assign::{score_bounded, score_of_report};
 use crate::cover::{McCheck, McCubeFailure};
 
@@ -531,7 +531,7 @@ pub(super) fn candidate_insertions_config(
                         continue;
                     }
                     let sp = simc_obs::span("assign_expand");
-                    let expanded = expand(sg, &asg, name);
+                    let expanded = expand_validated(sg, &asg, name);
                     let semimod = expanded
                         .as_ref()
                         .map(|x| x.analysis().is_output_semimodular())

@@ -161,10 +161,11 @@ pub fn to_verilog(nl: &Netlist, name: &str) -> String {
         }
     }
 
-    // Latch initialization for simulation.
+    // Latch initialization for simulation: only C-elements are
+    // instantiated as `u_<net>`; feedback complex gates are `assign`s.
     let latch_inits: Vec<String> = nl
         .gate_ids()
-        .filter(|&g| nl.gate_kind(g).is_sequential())
+        .filter(|&g| matches!(nl.gate_kind(g), GateKind::CElement { .. }))
         .map(|g| {
             format!(
                 "    u_{}.q = 1'b{};",
@@ -235,6 +236,30 @@ mod tests {
         assert_eq!(sanitize("S(a)1"), "S_a_1");
         assert_eq!(sanitize("2bad"), "n2bad");
         assert_eq!(sanitize("ok_name"), "ok_name");
+    }
+
+    #[test]
+    fn initial_block_names_only_instantiated_cells() {
+        // A feedback complex gate (q = a·b + q·(a + b)) is an `assign`, so
+        // it has no `u_q` instance for the initial block to set.
+        let mut nl = Netlist::new();
+        let a = nl.add_input("a").unwrap();
+        let b = nl.add_input("b").unwrap();
+        let majority = [(0b011, 0b011), (0b101, 0b101), (0b110, 0b110)];
+        let q = nl.add_complex("q", &[a, b], &majority, true, false).unwrap();
+        nl.bind_output("q", q).unwrap();
+        let r = nl.add_c_element("r", a, b, false).unwrap();
+        nl.bind_output("r", r).unwrap();
+        let v = to_verilog(&nl, "m");
+        let instances: Vec<&str> = v
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("simc_celement "))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        let initialised: Vec<&str> =
+            v.lines().filter_map(|l| l.trim().split_once(".q = ")).map(|(u, _)| u).collect();
+        assert_eq!(instances, ["u_r"], "{v}");
+        assert_eq!(initialised, ["u_r"], "{v}");
     }
 
     #[test]

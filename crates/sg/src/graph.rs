@@ -36,6 +36,8 @@ impl fmt::Display for StateId {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct StateData {
     pub(crate) code: StateCode,
+    /// Bit `i` set iff some edge out of the state fires signal `i`.
+    pub(crate) excited: u64,
     pub(crate) succs: Vec<(Transition, StateId)>,
     pub(crate) preds: Vec<(Transition, StateId)>,
 }
@@ -139,19 +141,19 @@ impl StateGraph {
     /// Whether signal `sig` is *excited* in state `s` (Section II-A): some
     /// transition of `sig` is enabled there.
     pub fn is_excited(&self, s: StateId, sig: SignalId) -> bool {
-        self.succs(s).iter().any(|(t, _)| t.signal == sig)
+        self.excited_mask(s) >> sig.index() & 1 == 1
+    }
+
+    /// The signals excited in `s` as a bit mask: bit `i` is set iff signal
+    /// `i` is excited there.
+    pub fn excited_mask(&self, s: StateId) -> u64 {
+        self.states[s.index()].excited
     }
 
     /// Signals excited in `s`, in id order.
     pub fn excited(&self, s: StateId) -> Vec<SignalId> {
-        let mut v: Vec<SignalId> = self
-            .succs(s)
-            .iter()
-            .map(|(t, _)| t.signal)
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        let mask = self.excited_mask(s);
+        self.signal_ids().filter(|sig| mask >> sig.index() & 1 == 1).collect()
     }
 
     /// The successor reached from `s` by firing `t`, if `t` is enabled.
@@ -505,7 +507,7 @@ impl SgBuilder {
 
     /// Adds a state with the given code and returns its id.
     pub fn add_state(&mut self, code: StateCode) -> StateId {
-        self.states.push(StateData { code, succs: Vec::new(), preds: Vec::new() });
+        self.states.push(StateData { code, excited: 0, succs: Vec::new(), preds: Vec::new() });
         StateId::new(self.states.len() - 1)
     }
 
@@ -536,7 +538,9 @@ impl SgBuilder {
                 })
             }
         }
-        self.states[from.index()].succs.push((t, to));
+        let from_data = &mut self.states[from.index()];
+        from_data.excited |= 1 << t.signal.index();
+        from_data.succs.push((t, to));
         self.states[to.index()].preds.push((t, from));
         Ok(())
     }

@@ -1,6 +1,8 @@
 //! Region analysis: excitation, quiescent and constant-function regions
 //! (Definitions 5–12 of the paper).
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::bitset::BitSet;
@@ -100,62 +102,134 @@ pub struct Regions {
     cfr_sets: Vec<BitSet>,
     /// Region ids grouped by signal, indexed by `SignalId`.
     by_signal: Vec<Vec<ErId>>,
+    /// Per ER, the OR of its states' excitation masks: bit `b` is set iff
+    /// signal `b` is excited somewhere in the region, so Definition 11's
+    /// ordering test is one bit test. [`Regions::compute`] fills it during
+    /// its sweep; a decoded analysis fills it from the graph passed to its
+    /// first ordering query.
+    er_masks: OnceLock<Vec<u64>>,
 }
 
 impl Regions {
     /// Computes all regions of `sg`.
+    ///
+    /// One sweep per signal labels its excitation regions in order of
+    /// their smallest state (which numbers the occurrences) and floods
+    /// each region's quiescent region from the states its own transition
+    /// lands in.
     pub fn compute(sg: &StateGraph) -> Self {
-        let mut ers = Vec::new();
+        let n = sg.state_count();
+        // Per region, in id order: signal, direction, occurrence, ER set,
+        // OR of its states' excitation masks, QR set.
+        let mut found = Vec::new();
+        let graph = Sweep::new(sg);
+        // `labelled[s] == i + 1` once `s` joined an ER of signal `i` (at
+        // most 64 signals, so the tag fits a byte and never needs reset).
+        let mut labelled = vec![0u8; n];
+        let mut stack = Vec::new();
+        let mut qr_stack = Vec::new();
         for sig in sg.signal_ids() {
+            let bit = 1u64 << sig.index();
+            let label = sig.index() as u8 + 1;
+            // Regions of the signal by value before firing (0: rise,
+            // 1: fall), each list in order of smallest state id.
+            let mut by_dir: [Vec<(BitSet, u64, BitSet)>; 2] = [Vec::new(), Vec::new()];
+            for start in sg.state_ids() {
+                if labelled[start.index()] == label || graph.excited(start) & bit == 0 {
+                    continue;
+                }
+                let before = sg.code(start).value(sig);
+                let (mut er, mut qr, mut mask) = (BitSet::new(n), BitSet::new(n), 0);
+                labelled[start.index()] = label;
+                stack.push(start);
+                while let Some(u) = stack.pop() {
+                    er.insert(u);
+                    mask |= graph.excited(u);
+                    // The state the region's own transition lands in seeds
+                    // its QR (Definition 6).
+                    if let Some(v) = graph.fire(u, bit) {
+                        if graph.is(v, bit, !before, false) && !qr.contains(v) {
+                            qr.insert(v);
+                            qr_stack.push(v);
+                        }
+                    }
+                    for &v in graph.neighbours(u) {
+                        if labelled[v.index()] != label && graph.is(v, bit, before, true) {
+                            labelled[v.index()] = label;
+                            stack.push(v);
+                        }
+                    }
+                }
+                while let Some(u) = qr_stack.pop() {
+                    for &v in graph.neighbours(u) {
+                        if !qr.contains(v) && graph.is(v, bit, !before, false) {
+                            qr.insert(v);
+                            qr_stack.push(v);
+                        }
+                    }
+                }
+                by_dir[usize::from(before)].push((er, mask, qr));
+            }
             for dir in [Dir::Rise, Dir::Fall] {
-                let mut components = connected_components(sg, |s| {
-                    sg.is_excited(s, sig) && sg.code(s).value(sig) == dir.value_before()
-                });
-                // Deterministic occurrence numbering: by smallest state id.
-                components.sort_by_key(|c| c[0]);
-                for (j, states) in components.into_iter().enumerate() {
-                    ers.push(ExcitationRegion {
-                        signal: sig,
-                        dir,
-                        occurrence: (j + 1) as u32,
-                        states,
-                    });
+                let components = std::mem::take(&mut by_dir[usize::from(dir.value_before())]);
+                for (j, (er, mask, qr)) in components.into_iter().enumerate() {
+                    found.push((sig, dir, (j + 1) as u32, er, mask, qr));
                 }
             }
         }
-        let qrs: Vec<Vec<StateId>> = ers.iter().map(|er| quiescent_of(sg, er)).collect();
-        Regions::from_parts(ers, qrs, sg.state_count(), sg.signal_count())
+        // The sorted slices are built once the sweep's scratch is freed,
+        // so the two never occupy memory together.
+        drop((graph, labelled, stack, qr_stack));
+        let mut regions = Regions::empty(sg.signal_count());
+        let mut er_masks = Vec::with_capacity(found.len());
+        for (signal, dir, occurrence, er_set, mask, qr_set) in found {
+            let er = ExcitationRegion { signal, dir, occurrence, states: members(&er_set) };
+            regions.push(er, er_set, members(&qr_set), qr_set);
+            er_masks.push(mask);
+        }
+        regions.er_masks = OnceLock::from(er_masks);
+        regions
     }
 
-    /// Builds the derived tables (CFRs, characteristic bitsets, per-signal
-    /// index) from the primary ER/QR data. Shared by [`Regions::compute`]
-    /// and [`Regions::from_cache_bytes`] so decoded analyses are
+    /// An analysis with no regions over `signal_count` signals.
+    fn empty(signal_count: usize) -> Regions {
+        Regions {
+            ers: Vec::new(),
+            qrs: Vec::new(),
+            cfrs: Vec::new(),
+            er_sets: Vec::new(),
+            qr_sets: Vec::new(),
+            cfr_sets: Vec::new(),
+            by_signal: vec![Vec::new(); signal_count],
+            er_masks: OnceLock::new(),
+        }
+    }
+
+    /// Appends one ER with its QR and derives the CFR (the word-wise union
+    /// of the two sets). Shared by [`Regions::compute`] and
+    /// [`Regions::from_cache_bytes`] so decoded analyses are
     /// indistinguishable from freshly computed ones.
-    fn from_parts(
-        ers: Vec<ExcitationRegion>,
-        qrs: Vec<Vec<StateId>>,
-        state_count: usize,
-        signal_count: usize,
-    ) -> Regions {
-        let mut cfrs = Vec::with_capacity(ers.len());
-        let mut er_sets = Vec::with_capacity(ers.len());
-        let mut qr_sets = Vec::with_capacity(ers.len());
-        let mut cfr_sets = Vec::with_capacity(ers.len());
-        for (er, qr) in ers.iter().zip(&qrs) {
-            let mut cfr: Vec<StateId> = er.states().to_vec();
-            cfr.extend_from_slice(qr);
-            cfr.sort_unstable();
-            cfr.dedup();
-            er_sets.push(BitSet::from_ids(state_count, er.states().iter().copied()));
-            qr_sets.push(BitSet::from_ids(state_count, qr.iter().copied()));
-            cfr_sets.push(BitSet::from_ids(state_count, cfr.iter().copied()));
-            cfrs.push(cfr);
-        }
-        let mut by_signal = vec![Vec::new(); signal_count];
-        for (i, er) in ers.iter().enumerate() {
-            by_signal[er.signal().index()].push(ErId(i as u32));
-        }
-        Regions { ers, qrs, cfrs, er_sets, qr_sets, cfr_sets, by_signal }
+    fn push(&mut self, er: ExcitationRegion, er_set: BitSet, qr: Vec<StateId>, qr_set: BitSet) {
+        let mut cfr_set = er_set.clone();
+        cfr_set.union_with(&qr_set);
+        self.by_signal[er.signal.index()].push(ErId(self.ers.len() as u32));
+        self.ers.push(er);
+        self.qrs.push(qr);
+        self.cfrs.push(members(&cfr_set));
+        self.er_sets.push(er_set);
+        self.qr_sets.push(qr_set);
+        self.cfr_sets.push(cfr_set);
+    }
+
+    /// Per-ER excitation masks, derived from `sg` on first use when the
+    /// analysis was decoded rather than computed.
+    fn er_masks(&self, sg: &StateGraph) -> &[u64] {
+        self.er_masks.get_or_init(|| {
+            self.ers
+                .iter()
+                .map(|er| er.states.iter().fold(0, |mask, &s| mask | sg.excited_mask(s)))
+                .collect()
+        })
     }
 
     /// Serializes the analysis for an external artifact store.
@@ -215,8 +289,7 @@ impl Regions {
             }
             Some(states)
         };
-        let mut ers = Vec::with_capacity(count);
-        let mut qrs = Vec::with_capacity(count);
+        let mut regions = Regions::empty(signal_count);
         for _ in 0..count {
             let mut tokens = lines.next()?.split_whitespace();
             if tokens.next()? != "er" {
@@ -236,22 +309,25 @@ impl Regions {
             if states.is_empty() {
                 return None;
             }
-            ers.push(ExcitationRegion {
+            let er_set = BitSet::from_ids(state_count, states.iter().copied());
+            let er = ExcitationRegion {
                 signal: SignalId(signal_index as u32),
                 dir,
                 occurrence,
                 states,
-            });
+            };
             let mut tokens = lines.next()?.split_whitespace();
             if tokens.next()? != "qr" {
                 return None;
             }
-            qrs.push(parse_states(tokens)?);
+            let qr = parse_states(tokens)?;
+            let qr_set = BitSet::from_ids(state_count, qr.iter().copied());
+            regions.push(er, er_set, qr, qr_set);
         }
         if lines.next().is_some() {
             return None;
         }
-        Some(Regions::from_parts(ers, qrs, state_count, signal_count))
+        Some(regions)
     }
 
     /// All excitation regions.
@@ -370,11 +446,7 @@ impl Regions {
     ///
     /// The region's own signal is never ordered with respect to itself.
     pub fn is_ordered(&self, sg: &StateGraph, id: ErId, b: SignalId) -> bool {
-        let er = self.er(id);
-        if b == er.signal() {
-            return false;
-        }
-        !er.states().iter().any(|&s| sg.is_excited(s, b))
+        b != self.er(id).signal() && self.er_masks(sg)[id.index()] >> b.index() & 1 == 0
     }
 
     /// Signals concurrent with the ER (Definition 11), excluding the ER's
@@ -442,83 +514,63 @@ fn value_set(sg: &StateGraph, a: SignalId, value: bool, excited: bool) -> Vec<St
         .collect()
 }
 
-/// Connected components (undirected) of the states satisfying `pred`,
-/// each sorted by state id.
-fn connected_components(
-    sg: &StateGraph,
-    pred: impl Fn(StateId) -> bool,
-) -> Vec<Vec<StateId>> {
-    let n = sg.state_count();
-    let in_set = BitSet::from_ids(n, sg.state_ids().filter(|&s| pred(s)));
-    let mut seen = BitSet::new(n);
-    let mut components = Vec::new();
-    for s in sg.state_ids() {
-        if !in_set.contains(s) || seen.contains(s) {
-            continue;
-        }
-        let mut stack = vec![s];
-        seen.insert(s);
-        let mut comp = Vec::new();
-        while let Some(u) = stack.pop() {
-            comp.push(u);
-            let neighbours = sg
-                .succs(u)
-                .iter()
-                .map(|&(_, v)| v)
-                .chain(sg.preds(u).iter().map(|&(_, v)| v));
-            for v in neighbours {
-                if in_set.contains(v) && !seen.contains(v) {
-                    seen.insert(v);
-                    stack.push(v);
-                }
-            }
-        }
-        comp.sort_unstable();
-        components.push(comp);
-    }
-    components
+/// The graph as [`Regions::compute`] sweeps it: every state's neighbours
+/// in both directions in one flat array (successors first) and its code
+/// and excitation mask side by side, so a flood reads one contiguous run
+/// per visited state instead of chasing three pointers.
+struct Sweep {
+    /// `bounds[2s]..bounds[2s + 1]` index the successors of `s` in
+    /// `edges`, `bounds[2s + 1]..bounds[2s + 2]` its predecessors.
+    bounds: Vec<usize>,
+    edges: Vec<StateId>,
+    /// `(code bits, excitation mask)` per state.
+    states: Vec<(u64, u64)>,
 }
 
-/// Quiescent region following `er`: flood the stable-value component from
-/// the landing states of the region's own transition.
-fn quiescent_of(sg: &StateGraph, er: &ExcitationRegion) -> Vec<StateId> {
-    let sig = er.signal();
-    let after = er.dir().value_after();
-    let stable = |s: StateId| sg.code(s).value(sig) == after && !sg.is_excited(s, sig);
-    let seeds: Vec<StateId> = er
-        .states()
-        .iter()
-        .filter_map(|&s| sg.fire(s, er.transition()))
-        .filter(|&t| stable(t))
-        .collect();
-    if seeds.is_empty() {
-        return Vec::new();
-    }
-    let n = sg.state_count();
-    let mut seen = BitSet::new(n);
-    let mut stack = Vec::new();
-    for &s in &seeds {
-        if !seen.contains(s) {
-            seen.insert(s);
-            stack.push(s);
-        }
-    }
-    let mut out = Vec::new();
-    while let Some(u) = stack.pop() {
-        out.push(u);
-        let neighbours = sg
-            .succs(u)
-            .iter()
-            .map(|&(_, v)| v)
-            .chain(sg.preds(u).iter().map(|&(_, v)| v));
-        for v in neighbours {
-            if stable(v) && !seen.contains(v) {
-                seen.insert(v);
-                stack.push(v);
+impl Sweep {
+    fn new(sg: &StateGraph) -> Sweep {
+        let mut bounds = Vec::with_capacity(2 * sg.state_count() + 1);
+        let mut edges = Vec::with_capacity(2 * sg.edge_count());
+        for s in sg.state_ids() {
+            for list in [sg.succs(s), sg.preds(s)] {
+                bounds.push(edges.len());
+                edges.extend(list.iter().map(|&(_, v)| v));
             }
         }
+        bounds.push(edges.len());
+        let states = sg.state_ids().map(|s| (sg.code(s).bits(), sg.excited_mask(s))).collect();
+        Sweep { bounds, edges, states }
     }
-    out.sort_unstable();
+
+    fn excited(&self, s: StateId) -> u64 {
+        self.states[s.index()].1
+    }
+
+    /// Whether the signal of `bit` has `value` in `s` and is excited
+    /// there or not.
+    fn is(&self, s: StateId, bit: u64, value: bool, excited: bool) -> bool {
+        let (code, mask) = self.states[s.index()];
+        (code & bit != 0) == value && (mask & bit != 0) == excited
+    }
+
+    /// The first successor of `s` reached by a transition of the signal
+    /// of `bit` (the one whose code differs there), as
+    /// [`StateGraph::fire`] picks it.
+    fn fire(&self, s: StateId, bit: u64) -> Option<StateId> {
+        let code = self.states[s.index()].0;
+        let succs = &self.edges[self.bounds[2 * s.index()]..self.bounds[2 * s.index() + 1]];
+        succs.iter().copied().find(|v| (self.states[v.index()].0 ^ code) & bit != 0)
+    }
+
+    fn neighbours(&self, s: StateId) -> &[StateId] {
+        &self.edges[self.bounds[2 * s.index()]..self.bounds[2 * s.index() + 2]]
+    }
+}
+
+/// Members of `set` in ascending order, allocated to size.
+fn members(set: &BitSet) -> Vec<StateId> {
+    let mut out = Vec::with_capacity(set.count());
+    out.extend(set.iter());
     out
 }
 

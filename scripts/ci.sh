@@ -158,4 +158,12 @@ for workload in table1 scale-ring; do
     esac
 done
 
+echo "==> perfbench tests: the independent checker's rejection tests"
+# The benchmark's output checker derives excitation, reachability and the
+# latch function from the graph's edges on its own, apart from the
+# program's verifier; its tests must accept the synthesized circuit and
+# reject each corrupted one (dropped cube, flipped literal, CSC conflict).
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --quiet \
+    --manifest-path perfbench/Cargo.toml
+
 echo "==> ci: all green"

@@ -690,6 +690,25 @@ fn synth_complex_verilog_prints_one_gate_per_output() {
 }
 
 #[test]
+fn synth_complex_verilog_initialises_only_instantiated_cells() {
+    let args = ["synth", "benchmarks/mp-forward-pkt", "--complex", "--verilog"];
+    let (stdout, stderr, code) = run_with_stdin(&args, "");
+    assert_eq!(code, 0, "{stderr}");
+    // `done` is a feedback complex gate, emitted as an `assign`.
+    assert!(stdout.contains("  assign done = "), "{stdout}");
+    let instances: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("simc_celement "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    for line in stdout.lines() {
+        if let Some((cell, _)) = line.trim().split_once(".q = ") {
+            assert!(instances.contains(&cell), "{cell} is not instantiated:\n{stdout}");
+        }
+    }
+}
+
+#[test]
 fn verify_baseline_runs_the_verifier_or_fails_on_csc() {
     let (stdout, stderr, code) =
         run_with_stdin(&["verify", "benchmarks/mp-forward-pkt", "--baseline"], "");
