@@ -140,6 +140,9 @@ pub mod domains {
     pub const FUZZ_RECIPE: &str = "fuzz.recipe.v1";
     /// Request body + endpoint → single-flight dedup key in `simc serve`.
     pub const SERVE_FLIGHT: &str = "serve.flight.v1";
+    /// Raw request (endpoint, format, target, budgets, body bytes) →
+    /// `200` response body: the `simc serve` response memo.
+    pub const SERVE_RESPONSE: &str = "serve.response.v1";
     /// Canonical artifact bytes + format id + direction → converted text.
     pub const CONVERT: &str = "convert.v1";
 }

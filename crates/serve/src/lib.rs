@@ -26,16 +26,32 @@
 //! retry later). A panic inside a request is caught and answered with
 //! `500`; the worker survives.
 //!
-//! Duplicate concurrent submissions are **single-flight deduplicated**
-//! (see [`flight`]): requests are keyed by the canonical `.sg` hash (plus
-//! target and budgets), so N identical in-flight requests run one
-//! pipeline and share its result — the `X-Simc-Flight: led|joined`
-//! response header says which path a request took. The worker pool is a
-//! bounded queue drained by `simc_mc::parallel::parallel_map`, the same
-//! scoped-thread pool the synthesis stages use.
+//! A compute request is answered in this order:
+//!
+//! 1. **Request defects** (unknown target or format, non-numeric
+//!    budget) answer `400`, an already-expired deadline `429`.
+//! 2. **The response memo** — present only when the daemon has a cache
+//!    (`--cache-dir`). The flow is deterministic, so a `200` answer is a
+//!    function of the raw request: endpoint, format, target, the two
+//!    budget headers and the body bytes. A byte-identical repeat of an
+//!    earlier `200` request is answered from an in-memory map without
+//!    parsing, elaborating or entering a flight, so the response carries
+//!    **no** `X-Simc-Flight` header. Non-`200` answers are never
+//!    memoized, and the memo does not outlive the process.
+//! 3. **Single-flight deduplication** (see [`flight`]): the spec is
+//!    elaborated and keyed by its canonical `.sg` hash (plus target and
+//!    budgets), so N identical or isomorphic in-flight requests run one
+//!    pipeline and share its result — the `X-Simc-Flight: led|joined`
+//!    response header says which path a request took. The leader of a
+//!    flight that answers `200` fills the memo. The pipeline's stages
+//!    revive from the artifact cache, which does survive a restart.
+//!
+//! The worker pool is a bounded queue drained by
+//! `simc_mc::parallel::parallel_map`, the same scoped-thread pool the
+//! synthesis stages use.
 //!
 //! Request headers: `X-Simc-Target: c-element|rs-latch`,
-//! `X-Simc-Format: sg|edif|spice|dot` (`/v1/convert` only),
+//! `X-Simc-Format: sg|edif|spice|dot|verilog` (`/v1/convert` only),
 //! `X-Simc-Deadline-Ms: <n>` (maps to [`Pipeline::with_deadline`]),
 //! `X-Simc-Max-States: <n>` (verifier state budget), `X-Simc-Stats: 1`
 //! (append this request's own counter deltas — captured with
@@ -55,7 +71,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use simc_cache::{domains, Cache, KeyHasher};
+use simc_cache::{domains, Cache, Key, KeyHasher, MemCache};
 use simc_mc::parallel::{parallel_map_exact, ParallelSynth};
 use simc_mc::synth::Target;
 use simc_formats::Format;
@@ -70,6 +86,11 @@ use http::Request;
 /// stalled peer cannot pin a worker forever.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(60);
 
+/// Byte budget of the response memo. Its values are response bodies
+/// (hundreds of bytes for a verdict, tens of kilobytes for a converted
+/// netlist), so this holds thousands of distinct requests.
+const MEMO_BYTES: usize = 8 << 20;
+
 /// Server configuration; start with [`Server::start`].
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:0` for an ephemeral port.
@@ -80,6 +101,7 @@ pub struct ServeConfig {
     /// sheds load with `503` (0 → `4 × workers`).
     pub queue_capacity: usize,
     /// Shared artifact cache; every request's pipeline attaches to it.
+    /// A daemon with a cache also keeps an in-memory response memo.
     pub cache: Option<Arc<dyn Cache>>,
     /// Honour the `X-Simc-Test-Sleep-Ms` header, which holds a leader's
     /// computation open so tests can join flights deterministically.
@@ -108,6 +130,9 @@ struct Shared {
     draining: AtomicBool,
     flights: FlightMap<Outcome>,
     cache: Option<Arc<dyn Cache>>,
+    /// Raw request → `200` body, consulted before any parsing; only a
+    /// daemon with a cache has one.
+    memo: Option<MemCache>,
     test_hooks: bool,
 }
 
@@ -197,6 +222,7 @@ impl Server {
             workers,
             draining: AtomicBool::new(false),
             flights: FlightMap::new(),
+            memo: config.cache.is_some().then(|| MemCache::new(MEMO_BYTES)),
             cache: config.cache,
             test_hooks: config.test_hooks,
         });
@@ -389,57 +415,118 @@ fn run_request(shared: &Shared, job: &Job) -> Response {
     response
 }
 
-/// The compute path shared by the three `/v1/*` endpoints.
+/// The compute path shared by the `/v1/*` endpoints: the request-defect
+/// checks, then the response memo (when the daemon has a cache), then
+/// [`computed`]. A memo hit builds no pipeline and enters no flight, so
+/// it carries no `X-Simc-Flight` header; a flight leader's `200` body is
+/// memoized for the next byte-identical request.
 fn compute(shared: &Shared, job: &Job) -> Response {
-    let endpoint = Endpoint::of(&job.request.path).expect("router admits compute paths only");
-    let plain = |outcome: Outcome| Response {
-        status: outcome.status,
-        body: outcome.body,
-        role: None,
+    let params = match Params::of(&job.request, job.received) {
+        Ok(params) => params,
+        Err(outcome) => return plain(outcome),
     };
-    let target = match job.request.header("x-simc-target") {
-        None | Some("c-element") => Target::CElement,
-        Some("rs-latch") => Target::RsLatch,
-        Some(other) => {
-            return plain(error_outcome(
-                400,
-                "parse",
-                &format!("unknown target `{other}` (expected `c-element` or `rs-latch`)"),
-            ));
-        }
+    let Some(memo) = &shared.memo else {
+        return computed(shared, job, &params);
     };
-    let max_states = match header_u64(&job.request, "x-simc-max-states") {
-        Ok(value) => value,
-        Err(response) => return plain(response),
-    };
-    let deadline_ms = match header_u64(&job.request, "x-simc-deadline-ms") {
-        Ok(value) => value,
-        Err(response) => return plain(response),
-    };
-    let deadline = deadline_ms.map(|ms| job.received + Duration::from_millis(ms));
-    if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-        return plain(error_outcome(
-            429,
-            "resource limit",
-            "deadline exceeded while queued",
-        ));
+    let key = params.memo_key(&job.request.body);
+    if let Some(body) = simc_cache::lookup(memo, &key).and_then(|body| String::from_utf8(body).ok())
+    {
+        return Response { status: 200, body, role: None };
     }
-    // `/v1/convert` needs a target format before any work happens; a
-    // missing or unknown id is a request defect, same as a bad target.
-    let format = match (endpoint, job.request.header("x-simc-format")) {
-        (Endpoint::Convert, None) => {
-            return plain(error_outcome(
-                400,
-                "parse",
-                "`/v1/convert` needs an `X-Simc-Format` header (see `GET /v1/formats`)",
+    let response = computed(shared, job, &params);
+    if response.status == 200 && response.role == Some(Role::Led) {
+        simc_cache::store(memo, &key, response.body.as_bytes());
+    }
+    response
+}
+
+/// A response that did not go through the single-flight table.
+fn plain(outcome: Outcome) -> Response {
+    Response { status: outcome.status, body: outcome.body, role: None }
+}
+
+/// The request headers that shape the answer, checked for defects.
+struct Params {
+    endpoint: Endpoint,
+    target: Target,
+    /// `/v1/convert` only.
+    format: Option<&'static dyn Format>,
+    max_states: Option<u64>,
+    deadline_ms: Option<u64>,
+    /// `deadline_ms` after the request was received.
+    deadline: Option<Instant>,
+}
+
+impl Params {
+    /// Reads the headers of a request received at `received`. A defect
+    /// is a ready-made `400`, an already-expired deadline a `429`.
+    fn of(request: &Request, received: Instant) -> Result<Params, Outcome> {
+        let endpoint = Endpoint::of(&request.path).expect("router admits compute paths only");
+        let target = match request.header("x-simc-target") {
+            None | Some("c-element") => Target::CElement,
+            Some("rs-latch") => Target::RsLatch,
+            Some(other) => {
+                return Err(error_outcome(
+                    400,
+                    "parse",
+                    &format!("unknown target `{other}` (expected `c-element` or `rs-latch`)"),
+                ));
+            }
+        };
+        let max_states = header_u64(request, "x-simc-max-states")?;
+        let deadline_ms = header_u64(request, "x-simc-deadline-ms")?;
+        let deadline = deadline_ms.map(|ms| received + Duration::from_millis(ms));
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            return Err(error_outcome(
+                429,
+                "resource limit",
+                "deadline exceeded while queued",
             ));
         }
-        (Endpoint::Convert, Some(id)) => match simc_formats::by_id(id) {
-            Ok(format) => Some(format),
-            Err(error) => return plain(error_outcome(400, "parse", &error.to_string())),
-        },
-        _ => None,
-    };
+        // `/v1/convert` needs a target format before any work happens; a
+        // missing or unknown id is a request defect, same as a bad target.
+        let format = match (endpoint, request.header("x-simc-format")) {
+            (Endpoint::Convert, None) => {
+                return Err(error_outcome(
+                    400,
+                    "parse",
+                    "`/v1/convert` needs an `X-Simc-Format` header (see `GET /v1/formats`)",
+                ));
+            }
+            (Endpoint::Convert, Some(id)) => match simc_formats::by_id(id) {
+                Ok(format) => Some(format),
+                Err(error) => return Err(error_outcome(400, "parse", &error.to_string())),
+            },
+            _ => None,
+        };
+        Ok(Params { endpoint, target, format, max_states, deadline_ms, deadline })
+    }
+
+    /// Starts a key over every field that shapes the answer except the
+    /// spec. Deadlines are part of it: a tightly-budgeted request must
+    /// not publish its refusal to an unbudgeted duplicate.
+    fn hasher(&self, domain: &str) -> KeyHasher {
+        let mut hasher = KeyHasher::new(domain);
+        hasher.update(self.endpoint.tag().as_bytes());
+        hasher.update(self.format.map_or("", |f| f.id()).as_bytes());
+        hasher.update(target_tag(self.target).as_bytes());
+        hasher.update_u64(self.max_states.unwrap_or(u64::MAX));
+        hasher.update_u64(self.deadline_ms.unwrap_or(u64::MAX));
+        hasher
+    }
+
+    /// The response-memo key: the fields plus the raw body bytes.
+    fn memo_key(&self, body: &[u8]) -> Key {
+        let mut hasher = self.hasher(domains::SERVE_RESPONSE);
+        hasher.update(body);
+        hasher.finish()
+    }
+}
+
+/// Answers a request by computing it: parse, elaborate, and run the
+/// endpoint's stages inside a flight keyed on the canonical spec.
+fn computed(shared: &Shared, job: &Job, params: &Params) -> Response {
+    let &Params { endpoint, target, format, max_states, deadline, .. } = params;
     let Ok(spec) = std::str::from_utf8(&job.request.body) else {
         return plain(error_outcome(400, "parse", "request body is not UTF-8"));
     };
@@ -488,14 +575,7 @@ fn compute(shared: &Shared, job: &Job) -> Response {
             Ok(elaborated) => elaborated.canonical_text(),
             Err(error) => return plain(outcome_for_error(&error)),
         };
-        let mut hasher = KeyHasher::new(domains::SERVE_FLIGHT);
-        hasher.update(endpoint.tag().as_bytes());
-        hasher.update(format.map_or("", |f| f.id()).as_bytes());
-        hasher.update(target_tag(target).as_bytes());
-        hasher.update_u64(max_states.unwrap_or(u64::MAX));
-        // Deadlines are part of the key: a tightly-budgeted request must
-        // not publish its refusal to an unbudgeted duplicate.
-        hasher.update_u64(deadline_ms.unwrap_or(u64::MAX));
+        let mut hasher = params.hasher(domains::SERVE_FLIGHT);
         hasher.update(canonical.as_bytes());
         hasher.finish()
     };

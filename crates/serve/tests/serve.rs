@@ -291,13 +291,182 @@ fn requests_share_the_warm_artifact_cache() {
     let spec = toggle_text();
     let cold = post(addr, "/v1/verify", &[("X-Simc-Stats", "1")], &spec);
     assert_eq!(cold.status, 200, "{}", cold.body);
-    // Same spec again: the flight is over, so this computes — but every
-    // stage is revived from the shared cache (hits, no pipeline work).
-    let warm = post(addr, "/v1/verify", &[("X-Simc-Stats", "1")], &spec);
+    // The same spec under another name: it misses the response memo and
+    // the flight is over, so this computes — but every stage is revived
+    // from the shared cache (hits, no pipeline work).
+    let renamed = spec.replacen(".model toggle", ".model renamed", 1);
+    assert_ne!(renamed, spec);
+    let warm = post(addr, "/v1/verify", &[("X-Simc-Stats", "1")], &renamed);
     assert_eq!(warm.status, 200, "{}", warm.body);
+    assert!(counted_computation(&warm), "{}", warm.body);
     assert!(warm.body.contains("\"cache.hits\""), "{}", warm.body);
     assert!(!warm.body.contains("\"sat.solves\""), "warm run does no SAT work: {}", warm.body);
     assert_eq!(cold.body.split("\"stats\"").next(), warm.body.split("\"stats\"").next());
+    assert_eq!(post(addr, "/shutdown", &[], "").status, 200);
+    server.join();
+}
+
+/// A daemon with an in-memory artifact cache, which switches on the
+/// response memo.
+fn start_cached() -> Server {
+    let cache: Arc<dyn simc_cache::Cache> = Arc::new(simc_cache::MemCache::new(8 << 20));
+    start(ServeConfig { workers: 2, cache: Some(cache), ..ServeConfig::default() })
+}
+
+/// Posts with `X-Simc-Stats: 1` added, so the body ends in the
+/// request's own counter deltas.
+fn post_with_stats(
+    addr: SocketAddr,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: &str,
+) -> Response {
+    let mut headers = headers.to_vec();
+    headers.push(("X-Simc-Stats", "1"));
+    post(addr, path, &headers, body)
+}
+
+/// One counter of a response's stats splice (absent when zero).
+fn stat(response: &Response, counter: &str) -> Option<u64> {
+    let (_, rest) = response.body.split_once(&format!("\"{counter}\":"))?;
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().ok()
+}
+
+fn counted_computation(response: &Response) -> bool {
+    stat(response, "serve.computations") == Some(1)
+}
+
+/// A well-formed spec synthesis refuses (an output is disabled by an
+/// input: not output semi-modular), answered 422 from inside a flight.
+const NOT_SEMIMODULAR: &str = ".model np
+.inputs a
+.outputs b
+.state graph
+s0 a+ s1
+s0 b+ s2
+s2 a+ s3
+s1 a- s0
+s3 b- s4
+s4 a- s0
+.marking {s0}
+.end
+";
+
+#[test]
+fn repeated_request_is_answered_from_the_memo() {
+    let server = start_cached();
+    let addr = server.addr();
+    let spec = figure4_text();
+    let first = post(addr, "/v1/verify", &[], &spec);
+    assert_eq!(first.status, 200, "{}", first.body);
+    assert_eq!(first.header("x-simc-flight"), Some("led"));
+
+    // The repeat is the first answer byte for byte, and it ran no
+    // flight, so it carries no flight header.
+    let repeat = post(addr, "/v1/verify", &[], &spec);
+    assert_eq!(repeat.status, 200, "{}", repeat.body);
+    assert_eq!(repeat.body, first.body);
+    assert_eq!(repeat.header("x-simc-flight"), None);
+
+    // It did no work: no computation, no elaboration, one memo hit.
+    let counted = post_with_stats(addr, "/v1/verify", &[], &spec);
+    assert_eq!(counted.status, 200, "{}", counted.body);
+    assert_eq!(counted.header("x-simc-flight"), None);
+    assert_eq!(stat(&counted, "serve.computations"), None, "{}", counted.body);
+    assert_eq!(stat(&counted, "reach.states"), None, "{}", counted.body);
+    assert_eq!(stat(&counted, "cache.hits"), Some(1), "{}", counted.body);
+    assert_eq!(stat(&counted, "cache.misses"), None, "{}", counted.body);
+    assert_eq!(post(addr, "/shutdown", &[], "").status, 200);
+    server.join();
+}
+
+#[test]
+fn memo_key_covers_every_field_that_shapes_the_answer() {
+    let server = start_cached();
+    let addr = server.addr();
+    let spec = toggle_text();
+    let base: &[(&str, &str)] =
+        &[("X-Simc-Max-States", "100000"), ("X-Simc-Deadline-Ms", "60000")];
+    assert!(counted_computation(&post_with_stats(addr, "/v1/verify", base, &spec)));
+    assert!(!counted_computation(&post_with_stats(addr, "/v1/verify", base, &spec)));
+
+    // One field changed at a time: each is computed, not served.
+    let variants = [
+        ("target", [base, &[("X-Simc-Target", "rs-latch")]].concat(), spec.clone()),
+        ("max-states", vec![("X-Simc-Max-States", "100001"), base[1]], spec.clone()),
+        ("deadline", vec![base[0], ("X-Simc-Deadline-Ms", "60001")], spec.clone()),
+        // An isomorphic spec one byte away: same canonical form, so the
+        // stage caches answer it, but the memo must not.
+        ("body", base.to_vec(), spec.replacen(".model toggle", ".model togglf", 1)),
+    ];
+    assert_ne!(variants[3].2, spec, "the body variant differs from the base");
+    for (field, headers, body) in &variants {
+        let response = post_with_stats(addr, "/v1/verify", headers, body);
+        assert_eq!(response.status, 200, "{field}: {}", response.body);
+        assert!(counted_computation(&response), "{field}: {}", response.body);
+        assert_eq!(response.header("x-simc-flight"), Some("led"), "{field}");
+    }
+
+    // The format is part of the key too.
+    let edif = post_with_stats(addr, "/v1/convert", &[("X-Simc-Format", "edif")], &spec);
+    assert_eq!(edif.status, 200, "{}", edif.body);
+    assert!(counted_computation(&edif), "{}", edif.body);
+    let sg = post_with_stats(addr, "/v1/convert", &[("X-Simc-Format", "sg")], &spec);
+    assert_eq!(sg.status, 200, "{}", sg.body);
+    assert!(counted_computation(&sg), "{}", sg.body);
+    assert!(sg.body.contains("\"format\":\"sg\""), "{}", sg.body);
+    let repeat = post_with_stats(addr, "/v1/convert", &[("X-Simc-Format", "edif")], &spec);
+    assert!(!counted_computation(&repeat), "{}", repeat.body);
+    assert_eq!(post(addr, "/shutdown", &[], "").status, 200);
+    server.join();
+}
+
+#[test]
+fn failed_answers_are_computed_again() {
+    let server = start_cached();
+    let addr = server.addr();
+    // 422: a refusal from inside a flight; each repeat runs it again.
+    for _ in 0..2 {
+        let refused = post_with_stats(addr, "/v1/synth", &[], NOT_SEMIMODULAR);
+        assert_eq!(refused.status, 422, "{}", refused.body);
+        assert!(counted_computation(&refused), "{}", refused.body);
+        assert_eq!(refused.header("x-simc-flight"), Some("led"));
+    }
+    // 429: a blown state budget, also computed on every repeat.
+    for _ in 0..2 {
+        let budget =
+            post_with_stats(addr, "/v1/verify", &[("X-Simc-Max-States", "1")], &toggle_text());
+        assert_eq!(budget.status, 429, "{}", budget.body);
+        assert!(counted_computation(&budget), "{}", budget.body);
+    }
+    // 400: a malformed spec fails in parsing, before any flight; the
+    // repeat parses again rather than hitting the memo.
+    let malformed = ".model x\n.state graph\nbad line\n.end\n";
+    for _ in 0..2 {
+        let bad = post_with_stats(addr, "/v1/verify", &[], malformed);
+        assert_eq!(bad.status, 400, "{}", bad.body);
+        assert!(bad.body.contains("\"kind\":\"parse\""), "{}", bad.body);
+        assert_eq!(stat(&bad, "cache.hits"), None, "{}", bad.body);
+    }
+    assert_eq!(post(addr, "/shutdown", &[], "").status, 200);
+    server.join();
+}
+
+#[test]
+fn cacheless_daemon_computes_every_request() {
+    let server = start(ServeConfig { workers: 2, ..ServeConfig::default() });
+    let addr = server.addr();
+    let spec = toggle_text();
+    let mut bodies = Vec::new();
+    for _ in 0..3 {
+        let response = post_with_stats(addr, "/v1/synth", &[], &spec);
+        assert_eq!(response.status, 200, "{}", response.body);
+        assert!(counted_computation(&response), "{}", response.body);
+        assert_eq!(response.header("x-simc-flight"), Some("led"));
+        bodies.push(response.body.split("\"stats\"").next().map(str::to_string));
+    }
+    assert!(bodies.windows(2).all(|w| w[0] == w[1]));
     assert_eq!(post(addr, "/shutdown", &[], "").status, 200);
     server.join();
 }

@@ -144,11 +144,13 @@ grep -q '"cache.misses": 0' "$conv_dir/warm_stats.json" \
 grep -q '"convert.emits": 0' "$conv_dir/warm_stats.json" \
     || { echo "error: warm conversion re-emitted instead of hitting the cache" >&2; exit 1; }
 
-echo "==> perfbench smoke: table1 and scale-ring"
-# The benchmark command of BENCHMARK.json, briefly: each closed-loop
-# workload must build, pass its output checks (exit 0) and report no
-# failed operation on its last line.
-for workload in table1 scale-ring; do
+echo "==> perfbench smoke: table1, scale-ring and serve-mix"
+# The benchmark command of BENCHMARK.json, briefly: each workload must
+# build, pass its output checks (exit 0) and report no failed operation
+# on its last line. serve-mix's checker requires every verify repeat to
+# equal its priming response byte for byte, so it guards the daemon's
+# response memo end to end.
+for workload in table1 scale-ring serve-mix; do
     last="$(CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet \
         --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)"
