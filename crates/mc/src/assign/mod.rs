@@ -109,23 +109,31 @@ fn failure_mass(f: &McCubeFailure) -> usize {
 /// keeps expansions whose mass is at most the parent's, so aborted scores
 /// are exactly the ones it would reject — most models fail the bound
 /// within the first violating function, skipping the bulk of the cover
-/// computation on the hot path.
-fn score_bounded(check: &McCheck<'_>, bound: usize) -> Option<(usize, usize, usize)> {
-    let _span = simc_obs::span("cover");
-    let (mut functions, mut regions, mut bad) = (0usize, 0usize, 0usize);
-    for a in check.sg().non_input_signals() {
-        for dir in [simc_sg::Dir::Rise, simc_sg::Dir::Fall] {
-            if let Err(failures) = check.function_cover(a, dir) {
-                functions += 1;
-                regions += failures.len();
-                bad += failures.iter().map(|(_, f)| failure_mass(f)).sum::<usize>();
-                if functions + regions + bad > bound {
-                    return None;
+/// computation on the hot path. The score reads only which functions
+/// fail and how, so it asks for verdicts alone and never builds the
+/// minimised covers [`McCheck::report`] would. It takes the check by
+/// value so the check's tables are freed inside the span.
+fn score_bounded(check: McCheck<'_>, bound: usize) -> Option<(usize, usize, usize)> {
+    let span = simc_obs::span("cover");
+    let score = (|| {
+        let (mut functions, mut regions, mut bad) = (0usize, 0usize, 0usize);
+        for a in check.sg().non_input_signals() {
+            for dir in [simc_sg::Dir::Rise, simc_sg::Dir::Fall] {
+                if let Err(failures) = check.function_failures(a, dir) {
+                    functions += 1;
+                    regions += failures.len();
+                    bad += failures.iter().map(|(_, f)| failure_mass(f)).sum::<usize>();
+                    if functions + regions + bad > bound {
+                        return None;
+                    }
                 }
             }
         }
-    }
-    Some((functions, regions, bad))
+        Some((functions, regions, bad))
+    })();
+    drop(check);
+    span.finish();
+    score
 }
 
 /// Transforms `sg` into an MC-satisfying state graph by inserting state
@@ -160,7 +168,10 @@ pub fn reduce_to_mc(sg: &StateGraph, opts: ReduceOptions) -> Result<ReduceResult
                 .signal_ids()
                 .filter(|&x| sg.signal_by_name(done.sg.signal(x).name()).is_none())
                 .collect();
-            if !simc_sg::equiv::weak_bisimilar(sg, &done.sg, &[], &inserted) {
+            let span = simc_obs::span("certificate");
+            let bisimilar = simc_sg::equiv::weak_bisimilar(sg, &done.sg, &[], &inserted);
+            span.finish();
+            if !bisimilar {
                 return Err(McError::InsertionFailed {
                     reason: "internal error: insertion changed observable behaviour"
                         .to_string(),
@@ -198,7 +209,9 @@ pub fn reduce_to_mc(sg: &StateGraph, opts: ReduceOptions) -> Result<ReduceResult
                 .map(|n| n.sg.state_count() as u64 * n.sg.edge_count() as u64)
                 .sum();
             let expansions = crate::parallel::parallel_map_sized(batch, opts.threads, work, |node| {
+                let span = simc_obs::span("node_check");
                 let check = McCheck::new(&node.sg);
+                span.finish();
                 let name = fresh_name(&node.sg, depth);
                 let mut cands =
                     search::candidate_insertions(&check, &name, opts.max_candidates, opts.branch);

@@ -469,11 +469,14 @@ pub(super) fn candidate_insertions_config(
     // afterwards, so conflict clauses learned on the shared base system
     // (edge compatibility, toggling) transfer across problems instead of
     // being rediscovered from scratch per candidate.
+    let sp = simc_obs::span("base_solver");
     let (mut solver, enc) = base_solver(sg);
+    sp.finish();
     // Assignments already scored (problems overlap; identical phase
     // vectors expand to identical graphs and can only duplicate).
     let mut seen = std::collections::HashSet::new();
     for problem in &problems {
+        let sp = simc_obs::span("targeting");
         let act = solver.activation();
         let label = match problem {
             Problem::Separate { er, same, others, label } => {
@@ -495,6 +498,7 @@ pub(super) fn candidate_insertions_config(
         if config != 0 {
             solver.scramble_polarities(0x5eed ^ config.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         }
+        sp.finish();
         let mut examined = 0;
         let mut stagnant = 0;
         let mut pushed = 0usize;
@@ -505,13 +509,14 @@ pub(super) fn candidate_insertions_config(
         let budget =
             if pool.len() >= keep { max_candidates.min(STAGNATION_WINDOW) } else { max_candidates };
         while examined < budget && (pushed == 0 || stagnant < STAGNATION_WINDOW) {
+            // The span covers enumerating one model: steering, solving,
+            // blocking it and the repeat test.
+            let sp = simc_obs::span("assign_sat");
             if examined % 4 == 3 {
                 // Spread the enumeration across the assignment space.
                 solver.scramble_polarities(0x9e37 + examined as u64 + (config << 16));
             }
-            let sp = simc_obs::span("assign_sat");
             let outcome = solver.solve_with_assumptions(&[act]);
-            sp.finish();
             match outcome {
                 SatResult::Sat(model) => {
                     examined += 1;
@@ -523,14 +528,16 @@ pub(super) fn candidate_insertions_config(
                         act,
                         enc.blocking_clause(&model, sg.state_count()),
                     );
-                    if !seen.insert(enc.model_key(&model, sg.state_count())) {
+                    let fresh = seen.insert(enc.model_key(&model, sg.state_count()));
+                    sp.finish();
+                    if !fresh {
                         continue;
                     }
+                    let sp = simc_obs::span("assign_expand");
                     let asg = enc.decode(&model, sg.state_count());
                     if asg.validate(sg).is_err() {
                         continue;
                     }
-                    let sp = simc_obs::span("assign_expand");
                     let expanded = expand_validated(sg, &asg, name);
                     let semimod = expanded
                         .as_ref()
@@ -541,13 +548,13 @@ pub(super) fn candidate_insertions_config(
                     if !semimod {
                         continue;
                     }
-                    let new_check = McCheck::new(&expanded);
                     // Require progress: strictly lower total violation
                     // mass, or an equal-mass step that reduces the tuple
                     // (an extra useless signal never helps). The bounded
                     // scorer aborts — and we reject — exactly when the
                     // mass exceeds the parent's.
-                    let Some(new_score) = score_bounded(&new_check, parent_sum) else {
+                    let Some(new_score) = score_bounded(McCheck::new(&expanded), parent_sum)
+                    else {
                         continue;
                     };
                     let improves = sum(new_score) < parent_sum
@@ -576,7 +583,10 @@ pub(super) fn candidate_insertions_config(
                         break;
                     }
                 }
-                SatResult::Unsat => break,
+                SatResult::Unsat => {
+                    sp.finish();
+                    break;
+                }
             }
         }
         solver.retract(act);

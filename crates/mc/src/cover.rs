@@ -9,10 +9,12 @@
 //! completely, via the workspace SAT solver — and produces the per-region
 //! [`McReport`] that drives synthesis and MC-reduction.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 use simc_cube::Cube;
 use simc_sat::{Lit, SatResult, Solver};
-use simc_sg::{BitSet, Dir, ErId, Regions, SignalId, StateGraph, StateId};
+use simc_sg::{BitSlice, Dir, ErId, Regions, SignalId, StateGraph, StateId};
 
 /// Why no monotonous-cover cube exists for a region.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -201,16 +203,28 @@ impl McReport {
 ///
 /// Owns the region decomposition; ask it for cover cubes region by region
 /// or for the whole-graph [`McReport`].
+///
+/// Alongside the regions it keeps two word columns per signal: the states
+/// where the signal is 1 and the states where it is excited, laid out as
+/// [`simc_sg::BitSet`] words. The set of states a cube covers is then the
+/// AND of one column (or its complement) per literal, and the whole-graph
+/// conditions of Defs. 16 and 17 are a few word operations against the
+/// region sets instead of a walk over every state.
 #[derive(Debug)]
 pub struct McCheck<'g> {
     sg: &'g StateGraph,
     regions: Regions,
+    /// Signal `b`'s value-1 column is the `words`-long run at word
+    /// `2 * b * words` (`words` per state set), its excited column the run
+    /// after it. Built by the first check that needs them, so building a
+    /// checker costs only the region decomposition.
+    columns: OnceLock<Vec<u64>>,
 }
 
 impl<'g> McCheck<'g> {
     /// Computes the region decomposition of `sg`.
     pub fn new(sg: &'g StateGraph) -> Self {
-        McCheck { sg, regions: sg.regions() }
+        McCheck::from_parts(sg, sg.regions())
     }
 
     /// Builds a checker from a precomputed region decomposition of the
@@ -221,7 +235,7 @@ impl<'g> McCheck<'g> {
             .states()
             .iter()
             .all(|s| s.index() < sg.state_count())));
-        McCheck { sg, regions }
+        McCheck { sg, regions, columns: OnceLock::new() }
     }
 
     /// The underlying state graph.
@@ -249,13 +263,14 @@ impl<'g> McCheck<'g> {
 
     /// The smallest cover cube (Lemma 3): the minterm of the minimal state
     /// with the region's own signal and all concurrent signals deleted —
-    /// equivalently, all candidate literals at once.
+    /// equivalently, all candidate literals at once. Its care set is the
+    /// complement of the region's excitation mask.
     pub fn lemma3_cube(&self, er: ErId) -> Cube {
-        let mut cube = Cube::top();
-        for (sig, value) in self.candidate_literals(er) {
-            cube = cube.with_literal(sig.index(), value);
-        }
-        cube
+        let region = self.regions.er(er);
+        let signals = u64::MAX >> (64 - self.sg.signal_count().max(1));
+        let own = 1u64 << region.signal().index();
+        let care = signals & !own & !self.regions.excitation_mask(self.sg, er);
+        Cube::from_masks(care, self.sg.code(region.states()[0]).bits())
     }
 
     /// Whether `cube` covers state `s` (by its binary code).
@@ -263,22 +278,57 @@ impl<'g> McCheck<'g> {
         cube.covers(self.sg.code(s).bits())
     }
 
+    /// The word columns of every signal.
+    fn columns(&self) -> Columns<'_> {
+        let sg = self.sg;
+        let words = sg.state_count().div_ceil(64);
+        let columns = self.columns.get_or_init(|| {
+            let mut columns = vec![0u64; 2 * sg.signal_count() * words];
+            for s in sg.state_ids() {
+                let (word, bit) = (s.index() / 64, 1u64 << (s.index() % 64));
+                for (column, mut signals) in [(0, sg.code(s).bits()), (1, sg.excited_mask(s))] {
+                    while signals != 0 {
+                        let b = signals.trailing_zeros() as usize;
+                        columns[(2 * b + column) * words + word] |= bit;
+                        signals &= signals - 1;
+                    }
+                }
+            }
+            columns
+        });
+        Columns { columns, words, state_count: sg.state_count() }
+    }
+
+    /// The reachable states outside `CFR(er)` that `cube` covers, in
+    /// ascending order — condition (3) of Def. 17 fails exactly when
+    /// this is non-empty.
+    pub fn covered_outside(&self, er: ErId, cube: Cube) -> Vec<StateId> {
+        let columns = self.columns();
+        let cfr = self.regions.cfr_set(er).words();
+        let mut out = Vec::new();
+        for (word, &inside) in cfr.iter().enumerate() {
+            let mut bits = columns.covered(cube, word) & !inside;
+            while bits != 0 {
+                out.push(StateId::new(64 * word + bits.trailing_zeros() as usize));
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+
     /// Correct covering (Def. 16): an up-cube must not cover `1*-set(a) ∪
     /// 0-set(a)`; a down-cube must not cover `0*-set(a) ∪ 1-set(a)`.
     pub fn is_correct_cover(&self, er: ErId, cube: Cube) -> bool {
         let region = self.regions.er(er);
-        let a = region.signal();
+        let a = region.signal().index();
         let rising = region.dir() == Dir::Rise;
-        self.sg.state_ids().all(|s| {
-            let value = self.sg.code(s).value(a);
-            let excited = self.sg.is_excited(s, a);
-            let forbidden = if rising {
-                // 1*-set: value=1 & excited; 0-set: value=0 & stable
-                (value && excited) || (!value && !excited)
-            } else {
-                (!value && excited) || (value && !excited)
-            };
-            !(forbidden && self.covers_state(cube, s))
+        let columns = self.columns();
+        (0..columns.words).all(|word| {
+            // Rising: value and excitation agree (1* or 0); falling: they
+            // differ (0* or 1).
+            let differ = columns.ones(a, word) ^ columns.excited(a, word);
+            let forbidden = if rising { !differ } else { differ };
+            columns.covered(cube, word) & forbidden == 0
         })
     }
 
@@ -296,31 +346,18 @@ impl<'g> McCheck<'g> {
     }
 
     fn is_monotonous_cover_inner(&self, er: ErId, cube: Cube) -> bool {
-        let region = self.regions.er(er);
-        // (1) covers every ER state.
-        if !region.states().iter().all(|&s| self.covers_state(cube, s)) {
-            return false;
-        }
+        let in_er = self.regions.er_set(er).words();
         let in_cfr = self.regions.cfr_set(er);
-        // (3) covers no reachable state outside CFR.
-        for s in self.sg.state_ids() {
-            if !in_cfr.contains(s) && self.covers_state(cube, s) {
-                return false;
-            }
-        }
+        let columns = self.columns();
+        // (1) covers every ER state and (3) covers no reachable state
+        // outside CFR.
+        let whole = in_er.iter().zip(in_cfr.words()).enumerate().all(|(word, (&er, &cfr))| {
+            let covered = columns.covered(cube, word);
+            er & !covered == 0 && covered & !cfr == 0
+        });
         // (2) no 0 → 1 switch on an edge inside CFR (the cube starts at 1
         // in ER, so this limits it to a single 1 → 0 change per trace).
-        for &u in self.regions.cfr(er) {
-            if self.covers_state(cube, u) {
-                continue;
-            }
-            for &(_, v) in self.sg.succs(u) {
-                if in_cfr.contains(v) && self.covers_state(cube, v) {
-                    return false;
-                }
-            }
-        }
-        true
+        whole && self.rising_edges(in_cfr, cube).next().is_none()
     }
 
     /// Finds a monotonous cover cube for `er`, preferring few literals.
@@ -333,34 +370,28 @@ impl<'g> McCheck<'g> {
     ///
     /// Returns the precise [`McCubeFailure`] when no MC cube exists.
     pub fn mc_cube(&self, er: ErId) -> Result<Cube, McCubeFailure> {
-        let full = self.lemma3_cube(er);
-        let in_cfr = self.regions.cfr_set(er);
+        self.mc_cube_unminimised(er).map(|cube| self.minimize_literals(er, cube))
+    }
 
+    /// [`McCheck::mc_cube`] before its literal minimisation: the verdict,
+    /// with the Lemma 3 cube or the SAT search's cube on success.
+    fn mc_cube_unminimised(&self, er: ErId) -> Result<Cube, McCubeFailure> {
+        let full = self.lemma3_cube(er);
         // Condition (3) for the maximal cube: any candidate cube covers a
         // superset of its states, so a violation here is unfixable.
-        let covered_outside: Vec<StateId> = self
-            .sg
-            .state_ids()
-            .filter(|&s| !in_cfr.contains(s) && self.covers_state(full, s))
-            .collect();
+        let covered_outside = self.covered_outside(er, full);
         if !covered_outside.is_empty() {
             return Err(McCubeFailure::NotCorrect { covered_outside });
         }
-
         if self.is_monotonous_cover(er, full) {
-            return Ok(self.minimize_literals(er, full));
+            return Ok(full);
         }
-
         // The maximal cube fails only condition (2); search literal
         // subsets with SAT.
-        match self.sat_search(er, in_cfr) {
-            Some(cube) => Ok(self.minimize_literals(er, cube)),
-            None => {
-                let witness_edges =
-                    self.rising_edges(self.regions.cfr(er), in_cfr, full);
-                Err(McCubeFailure::NotMonotonous { witness_edges })
-            }
-        }
+        let in_cfr = self.regions.cfr_set(er);
+        self.sat_search(er, in_cfr).ok_or_else(|| McCubeFailure::NotMonotonous {
+            witness_edges: self.rising_edges(in_cfr, full).collect(),
+        })
     }
 
     /// Covers one excitation function: per-region MC cubes (Def. 18), or
@@ -370,70 +401,101 @@ impl<'g> McCheck<'g> {
         a: SignalId,
         dir: Dir,
     ) -> Result<FunctionCover, Vec<(ErId, McCubeFailure)>> {
-        let ers: Vec<ErId> = self
-            .regions
+        let ers = self.function_ers(a, dir);
+        let cubes = match self.verdict(&ers, a) {
+            Verdict::Regions(cubes) => cubes,
+            Verdict::Degenerate(lit) => return Ok(FunctionCover::SingleLiteral(lit)),
+            Verdict::Failed(failures) => return Err(failures),
+        };
+        let cubes: Vec<Cube> =
+            ers.iter().zip(cubes).map(|(&er, cube)| self.minimize_literals(er, cube)).collect();
+        // Prefer the degenerate single-literal form when it is strictly
+        // cheaper — the paper's own equations do (e.g. `Rx = a` in
+        // equations (2)): the AND and OR gates disappear and the literal
+        // drives the latch directly.
+        let per_region_literals: u32 = {
+            let mut distinct: Vec<Cube> = Vec::new();
+            for &c in &cubes {
+                if !distinct.contains(&c) {
+                    distinct.push(c);
+                }
+            }
+            distinct.iter().map(|c| c.literal_count()).sum()
+        };
+        if per_region_literals > 1 {
+            if let Some(lit) = self.degenerate_literal(&ers, a) {
+                return Ok(FunctionCover::SingleLiteral(lit));
+            }
+        }
+        Ok(FunctionCover::PerRegion { regions: ers, cubes })
+    }
+
+    /// The verdict of [`McCheck::function_cover`] alone: the same
+    /// per-region failures when the function has no cover, and `Ok`
+    /// whenever it has one — without minimising the cubes or looking for
+    /// a cheaper degenerate form, which only shape the cover itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns exactly the failures [`McCheck::function_cover`] returns.
+    pub fn function_failures(
+        &self,
+        a: SignalId,
+        dir: Dir,
+    ) -> Result<(), Vec<(ErId, McCubeFailure)>> {
+        match self.verdict(&self.function_ers(a, dir), a) {
+            Verdict::Failed(failures) => Err(failures),
+            Verdict::Regions(_) | Verdict::Degenerate(_) => Ok(()),
+        }
+    }
+
+    /// The regions of the excitation function `a`, `dir`, in id order.
+    fn function_ers(&self, a: SignalId, dir: Dir) -> Vec<ErId> {
+        self.regions
             .ers_of_signal(a)
             .iter()
             .copied()
             .filter(|&id| self.regions.er(id).dir() == dir)
-            .collect();
-        let mut regions = Vec::with_capacity(ers.len());
+            .collect()
+    }
+
+    /// Whether the function of signal `a` over `ers` has a cover: every
+    /// region's unminimised MC cube, or else the degenerate literal.
+    fn verdict(&self, ers: &[ErId], a: SignalId) -> Verdict {
         let mut cubes = Vec::with_capacity(ers.len());
         let mut failures = Vec::new();
-        for &er in &ers {
-            match self.mc_cube(er) {
-                Ok(c) => {
-                    regions.push(er);
-                    cubes.push(c);
-                }
+        for &er in ers {
+            match self.mc_cube_unminimised(er) {
+                Ok(cube) => cubes.push(cube),
                 Err(f) => failures.push((er, f)),
             }
         }
         if failures.is_empty() {
-            // Prefer the degenerate single-literal form when it is
-            // strictly cheaper — the paper's own equations do (e.g.
-            // `Rx = a` in equations (2)): the AND and OR gates disappear
-            // and the literal drives the latch directly.
-            let per_region_literals: u32 = {
-                let mut distinct: Vec<Cube> = Vec::new();
-                for &c in &cubes {
-                    if !distinct.contains(&c) {
-                        distinct.push(c);
-                    }
-                }
-                distinct.iter().map(|c| c.literal_count()).sum()
-            };
-            if per_region_literals > 1 {
-                if let Some(lit) = self.degenerate_literal(&ers, a, dir) {
-                    return Ok(FunctionCover::SingleLiteral(lit));
-                }
-            }
-            return Ok(FunctionCover::PerRegion { regions, cubes });
+            return Verdict::Regions(cubes);
         }
-        if let Some(lit) = self.degenerate_literal(&ers, a, dir) {
-            return Ok(FunctionCover::SingleLiteral(lit));
+        match self.degenerate_literal(ers, a) {
+            Some(lit) => Verdict::Degenerate(lit),
+            None => Verdict::Failed(failures),
         }
-        Err(failures)
     }
 
     /// The degenerate form: a single literal constant across every region
     /// of the function and correct for each (Section IV, note 2).
-    fn degenerate_literal(&self, ers: &[ErId], a: SignalId, _dir: Dir) -> Option<Cube> {
-        if ers.is_empty() {
-            return None;
-        }
-        let all_states: Vec<StateId> = ers
-            .iter()
-            .flat_map(|&er| self.regions.er(er).states().iter().copied())
-            .collect();
+    fn degenerate_literal(&self, ers: &[ErId], a: SignalId) -> Option<Cube> {
+        let first = self.regions.er(*ers.first()?).states()[0];
+        let columns = self.columns();
         'sig: for b in self.sg.signal_ids() {
             if b == a {
                 continue;
             }
-            let value = self.sg.code(all_states[0]).value(b);
-            for &s in &all_states[1..] {
-                if self.sg.code(s).value(b) != value {
-                    continue 'sig;
+            // b must hold one value throughout every region.
+            let value = self.sg.code(first).value(b);
+            for &er in ers {
+                for (word, &inside) in self.regions.er_set(er).words().iter().enumerate() {
+                    let ones = columns.ones(b.index(), word);
+                    if inside & if value { !ones } else { ones } != 0 {
+                        continue 'sig;
+                    }
                 }
             }
             // b must also be ordered with every region (no b transition
@@ -491,24 +553,20 @@ impl<'g> McCheck<'g> {
 
     // -- internals ----------------------------------------------------------
 
-    fn rising_edges(
-        &self,
-        cfr: &[StateId],
-        in_cfr: &BitSet,
+    /// The CFR edges `u → v` on which `cube` rises from 0 to 1, in CFR
+    /// order then successor order.
+    fn rising_edges<'a>(
+        &'a self,
+        in_cfr: BitSlice<'a>,
         cube: Cube,
-    ) -> Vec<(StateId, StateId)> {
-        let mut out = Vec::new();
-        for &u in cfr {
-            if self.covers_state(cube, u) {
-                continue;
-            }
-            for &(_, v) in self.sg.succs(u) {
-                if in_cfr.contains(v) && self.covers_state(cube, v) {
-                    out.push((u, v));
-                }
-            }
-        }
-        out
+    ) -> impl Iterator<Item = (StateId, StateId)> + 'a {
+        in_cfr.iter().filter(move |&u| !self.covers_state(cube, u)).flat_map(move |u| {
+            self.sg
+                .succs(u)
+                .iter()
+                .filter(move |&&(_, v)| in_cfr.contains(v) && self.covers_state(cube, v))
+                .map(move |&(_, v)| (u, v))
+        })
     }
 
     /// SAT model: one variable per candidate literal; a state's
@@ -520,7 +578,7 @@ impl<'g> McCheck<'g> {
     ///
     /// Disagreement sets are precomputed as per-state bitmasks in one pass
     /// over the codes, so clause generation walks words, not signals.
-    fn sat_search(&self, er: ErId, in_cfr: &BitSet) -> Option<Cube> {
+    fn sat_search(&self, er: ErId, in_cfr: BitSlice<'_>) -> Option<Cube> {
         if simc_obs::counters_enabled() {
             simc_obs::add(simc_obs::Counter::CoverSatSearches, 1);
         }
@@ -541,7 +599,7 @@ impl<'g> McCheck<'g> {
             }
             solver.add_clause(masks.bits(s).map(|i| Lit::pos(vars[i])));
         }
-        for &u in self.regions.cfr(er) {
+        for u in in_cfr.iter() {
             if masks.is_empty(u) {
                 continue;
             }
@@ -584,6 +642,50 @@ impl<'g> McCheck<'g> {
         }
         cube
     }
+}
+
+/// A borrowed view of [`McCheck`]'s word columns.
+struct Columns<'a> {
+    columns: &'a [u64],
+    words: usize,
+    state_count: usize,
+}
+
+impl Columns<'_> {
+    /// Word `word` of the states where signal `b` is 1.
+    fn ones(&self, b: usize, word: usize) -> u64 {
+        self.columns[2 * b * self.words + word]
+    }
+
+    /// Word `word` of the states where signal `b` is excited.
+    fn excited(&self, b: usize, word: usize) -> u64 {
+        self.columns[(2 * b + 1) * self.words + word]
+    }
+
+    /// Word `word` of the set of states `cube` covers: the AND of one
+    /// value column, or its complement, per literal.
+    fn covered(&self, cube: Cube, word: usize) -> u64 {
+        let rest = self.state_count - 64 * word;
+        let mut covered = if rest >= 64 { u64::MAX } else { (1 << rest) - 1 };
+        let mut literals = cube.care_mask();
+        while literals != 0 {
+            let b = literals.trailing_zeros() as usize;
+            let ones = self.ones(b, word);
+            covered &= if cube.value_mask() >> b & 1 == 1 { ones } else { !ones };
+            literals &= literals - 1;
+        }
+        covered
+    }
+}
+
+/// Whether one excitation function has a cover, and which form carries it.
+enum Verdict {
+    /// Every region has an MC cube (unminimised, parallel to its regions).
+    Regions(Vec<Cube>),
+    /// Some region has none, but the degenerate literal covers them all.
+    Degenerate(Cube),
+    /// No cover: the failing regions.
+    Failed(Vec<(ErId, McCubeFailure)>),
 }
 
 /// Per-state disagreement sets over a fixed candidate-literal list,

@@ -43,7 +43,7 @@ pub fn is_generalized_mc(check: &McCheck<'_>, ers: &[ErId], cube: Cube) -> bool 
     // (2) at most one change along any trace inside EACH region's CFR.
     for &er in ers {
         let in_cfr = regions.cfr_set(er);
-        for &u in regions.cfr(er) {
+        for u in in_cfr.iter() {
             if check.covers_state(cube, u) {
                 continue;
             }
@@ -130,7 +130,7 @@ pub fn generalized_mc_cube(check: &McCheck<'_>, ers: &[ErId]) -> Option<Cube> {
     }
     for &er in ers {
         let in_cfr = regions.cfr_set(er);
-        for &u in regions.cfr(er) {
+        for u in in_cfr.iter() {
             if masks.is_empty(u) {
                 continue;
             }

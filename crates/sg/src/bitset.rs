@@ -7,6 +7,11 @@
 //! into `u64` blocks: bit `i` of word `i / 64` is state `StateId(i)`,
 //! giving O(1) membership, cache-friendly unions, and word-at-a-time
 //! iteration.
+//!
+//! [`BitSlice`] is the borrowed form, a `Copy` view of `words` laid out
+//! the same way. Analyses that keep many sets (one per region) store them
+//! side by side in one word arena and hand out views into it, so a table
+//! of sets costs one allocation instead of one per set.
 
 use serde::{Deserialize, Serialize};
 
@@ -60,13 +65,12 @@ impl BitSet {
 
     /// Whether `s` is a member. Out-of-domain ids are never members.
     pub fn contains(&self, s: StateId) -> bool {
-        let i = s.index();
-        i < self.len && self.words[i / 64] >> (i % 64) & 1 == 1
+        self.as_slice().contains(s)
     }
 
     /// Number of members.
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.as_slice().count()
     }
 
     /// Whether the set has no members.
@@ -79,16 +83,17 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if the domains differ.
-    pub fn union_with(&mut self, other: &BitSet) {
+    pub fn union_with<'a>(&mut self, other: impl Into<BitSlice<'a>>) {
+        let other = other.into();
         assert_eq!(self.len, other.len, "bitset domain mismatch");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
+        for (w, o) in self.words.iter_mut().zip(other.words) {
             *w |= o;
         }
     }
 
     /// Whether the sets share any member (domains must match).
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+    pub fn intersects<'a>(&self, other: impl Into<BitSlice<'a>>) -> bool {
+        self.as_slice().intersects(other)
     }
 
     /// The raw `u64` blocks, low states first.
@@ -98,6 +103,58 @@ impl BitSet {
 
     /// Members in ascending state-id order, word at a time.
     pub fn iter(&self) -> impl Iterator<Item = StateId> + '_ {
+        self.as_slice().iter()
+    }
+
+    /// The set as a borrowed view.
+    pub fn as_slice(&self) -> BitSlice<'_> {
+        BitSlice { words: &self.words, len: self.len }
+    }
+}
+
+/// A borrowed, read-only view of a bitset over state ids `0..len`: the
+/// same word layout as [`BitSet`], usually a window into a larger word
+/// arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BitSlice<'a> {
+    words: &'a [u64],
+    len: usize,
+}
+
+impl<'a> BitSlice<'a> {
+    /// A view of `words` as a set over `0..len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words` holds exactly `len.div_ceil(64)` blocks.
+    pub fn new(words: &'a [u64], len: usize) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "bitset view of the wrong width");
+        BitSlice { words, len }
+    }
+
+    /// Whether `s` is a member. Out-of-domain ids are never members.
+    pub fn contains(self, s: StateId) -> bool {
+        let i = s.index();
+        i < self.len && self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Number of members.
+    pub fn count(self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the sets share any member (domains must match).
+    pub fn intersects<'b>(self, other: impl Into<BitSlice<'b>>) -> bool {
+        self.words.iter().zip(other.into().words).any(|(a, b)| a & b != 0)
+    }
+
+    /// The raw `u64` blocks, low states first.
+    pub fn words(self) -> &'a [u64] {
+        self.words
+    }
+
+    /// Members in ascending state-id order, word at a time.
+    pub fn iter(self) -> impl Iterator<Item = StateId> + 'a {
         self.words.iter().enumerate().flat_map(|(wi, &word)| {
             let mut bits = word;
             std::iter::from_fn(move || {
@@ -109,6 +166,12 @@ impl BitSet {
                 Some(StateId::new(wi * 64 + bit))
             })
         })
+    }
+}
+
+impl<'a> From<&'a BitSet> for BitSlice<'a> {
+    fn from(set: &'a BitSet) -> Self {
+        set.as_slice()
     }
 }
 
@@ -165,6 +228,20 @@ mod tests {
     fn words_layout() {
         let set = BitSet::from_ids(128, [0, 64].map(StateId::new));
         assert_eq!(set.words(), &[1, 1]);
+    }
+
+    #[test]
+    fn slices_view_the_same_members() {
+        let set = BitSet::from_ids(130, [1, 64, 129].map(StateId::new));
+        let view = set.as_slice();
+        assert_eq!(view, BitSlice::new(set.words(), 130));
+        assert_eq!(view.iter().collect::<Vec<_>>(), set.iter().collect::<Vec<_>>());
+        assert_eq!(view.count(), 3);
+        assert!(view.contains(StateId::new(129)) && !view.contains(StateId::new(130)));
+        let mut grown = BitSet::new(130);
+        grown.union_with(view);
+        assert_eq!(grown, set);
+        assert!(grown.intersects(view) && !BitSet::new(130).as_slice().intersects(&set));
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod regions;
 mod signal;
 
 pub use arena::{ArenaKey, StateArena};
-pub use bitset::BitSet;
+pub use bitset::{BitSet, BitSlice};
 pub use code::StateCode;
 pub use error::SgError;
 pub use graph::{SgBuilder, StateGraph, StateId};

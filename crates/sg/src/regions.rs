@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use crate::bitset::BitSet;
+use crate::bitset::BitSlice;
 use crate::graph::{StateGraph, StateId};
 use crate::signal::{Dir, SignalId, Transition};
 
@@ -30,15 +30,18 @@ impl ErId {
 
 /// An excitation region `ER(±a_j)` (Definition 5): a maximal connected set
 /// of states in which signal `a` has the same value and is excited.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExcitationRegion {
+///
+/// A view into its [`Regions`] analysis, which stores every region's
+/// states in one pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExcitationRegion<'a> {
     signal: SignalId,
     dir: Dir,
     occurrence: u32,
-    states: Vec<StateId>,
+    states: &'a [StateId],
 }
 
-impl ExcitationRegion {
+impl<'a> ExcitationRegion<'a> {
     /// The excited signal `a`.
     pub fn signal(&self) -> SignalId {
         self.signal
@@ -61,8 +64,8 @@ impl ExcitationRegion {
     }
 
     /// The states of the region, sorted by id.
-    pub fn states(&self) -> &[StateId] {
-        &self.states
+    pub fn states(&self) -> &'a [StateId] {
+        self.states
     }
 
     /// Whether `s` belongs to the region.
@@ -86,22 +89,30 @@ impl ExcitationRegion {
 /// Holds every excitation region of every signal together with the derived
 /// quiescent regions, and answers the ordering/trigger/persistency queries
 /// of Section II-B.
+///
+/// The per-region tables live in a few flat arrays sized exactly when the
+/// analysis is built, so an analysis costs the same handful of
+/// allocations however many regions it holds. QR and CFR members are read
+/// off their sets on demand rather than stored twice.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Regions {
-    ers: Vec<ExcitationRegion>,
-    /// Quiescent region per ER, parallel to `ers` (may be empty).
-    qrs: Vec<Vec<StateId>>,
-    /// Constant-function region `ER ∪ QR` per ER, sorted, parallel to
-    /// `ers` — cached here because cover checking queries it constantly.
-    cfrs: Vec<Vec<StateId>>,
-    /// Characteristic sets parallel to `ers`: ER, QR and CFR membership as
-    /// dense bitsets, so region queries are block-wise bit ops instead of
-    /// per-state binary searches.
-    er_sets: Vec<BitSet>,
-    qr_sets: Vec<BitSet>,
-    cfr_sets: Vec<BitSet>,
-    /// Region ids grouped by signal, indexed by `SignalId`.
-    by_signal: Vec<Vec<ErId>>,
+    /// `(signal, direction, occurrence)` per region.
+    heads: Vec<(SignalId, Dir, u32)>,
+    /// The state domain of every characteristic set.
+    state_count: usize,
+    /// ER, QR and CFR membership of every region as dense bitsets, back to
+    /// back: region `i`'s three sets are the consecutive `words`-long runs
+    /// starting at word `3 * i * words`, so region queries are block-wise
+    /// bit ops instead of per-state binary searches.
+    sets: Vec<u64>,
+    /// Every region's ER states, sorted, back to back:
+    /// `bounds[i]..bounds[i + 1]` indexes region `i`'s in `members`.
+    members: Vec<StateId>,
+    bounds: Vec<usize>,
+    /// Region ids grouped by signal, each group in id order:
+    /// `by_signal[signal_bounds[b]..signal_bounds[b + 1]]` are signal `b`'s.
+    by_signal: Vec<ErId>,
+    signal_bounds: Vec<usize>,
     /// Per ER, the OR of its states' excitation masks: bit `b` is set iff
     /// signal `b` is excited somewhere in the region, so Definition 11's
     /// ordering test is one bit test. [`Regions::compute`] fills it during
@@ -110,18 +121,26 @@ pub struct Regions {
     er_masks: OnceLock<Vec<u64>>,
 }
 
+fn insert(words: &mut [u64], s: StateId) {
+    words[s.index() / 64] |= 1 << (s.index() % 64);
+}
+
+fn contains(words: &[u64], s: StateId) -> bool {
+    words[s.index() / 64] >> (s.index() % 64) & 1 == 1
+}
+
 impl Regions {
     /// Computes all regions of `sg`.
     ///
-    /// One sweep per signal labels its excitation regions in order of
-    /// their smallest state (which numbers the occurrences) and floods
-    /// each region's quiescent region from the states its own transition
-    /// lands in.
+    /// Two sweeps per signal, rising regions first, label its excitation
+    /// regions in order of their smallest state (which numbers the
+    /// occurrences) and flood each region's quiescent region from the
+    /// states its own transition lands in. Each region's sets are written
+    /// straight into the word arena in id order.
     pub fn compute(sg: &StateGraph) -> Self {
         let n = sg.state_count();
-        // Per region, in id order: signal, direction, occurrence, ER set,
-        // OR of its states' excitation masks, QR set.
-        let mut found = Vec::new();
+        let mut regions = Regions::empty(n);
+        let mut er_masks = Vec::new();
         let graph = Sweep::new(sg);
         // `labelled[s] == i + 1` once `s` joined an ER of signal `i` (at
         // most 64 signals, so the tag fits a byte and never needs reset).
@@ -131,103 +150,135 @@ impl Regions {
         for sig in sg.signal_ids() {
             let bit = 1u64 << sig.index();
             let label = sig.index() as u8 + 1;
-            // Regions of the signal by value before firing (0: rise,
-            // 1: fall), each list in order of smallest state id.
-            let mut by_dir: [Vec<(BitSet, u64, BitSet)>; 2] = [Vec::new(), Vec::new()];
-            for start in sg.state_ids() {
-                if labelled[start.index()] == label || graph.excited(start) & bit == 0 {
-                    continue;
-                }
-                let before = sg.code(start).value(sig);
-                let (mut er, mut qr, mut mask) = (BitSet::new(n), BitSet::new(n), 0);
-                labelled[start.index()] = label;
-                stack.push(start);
-                while let Some(u) = stack.pop() {
-                    er.insert(u);
-                    mask |= graph.excited(u);
-                    // The state the region's own transition lands in seeds
-                    // its QR (Definition 6).
-                    if let Some(v) = graph.fire(u, bit) {
-                        if graph.is(v, bit, !before, false) && !qr.contains(v) {
-                            qr.insert(v);
-                            qr_stack.push(v);
-                        }
-                    }
-                    for &v in graph.neighbours(u) {
-                        if labelled[v.index()] != label && graph.is(v, bit, before, true) {
-                            labelled[v.index()] = label;
-                            stack.push(v);
-                        }
-                    }
-                }
-                while let Some(u) = qr_stack.pop() {
-                    for &v in graph.neighbours(u) {
-                        if !qr.contains(v) && graph.is(v, bit, !before, false) {
-                            qr.insert(v);
-                            qr_stack.push(v);
-                        }
-                    }
-                }
-                by_dir[usize::from(before)].push((er, mask, qr));
-            }
             for dir in [Dir::Rise, Dir::Fall] {
-                let components = std::mem::take(&mut by_dir[usize::from(dir.value_before())]);
-                for (j, (er, mask, qr)) in components.into_iter().enumerate() {
-                    found.push((sig, dir, (j + 1) as u32, er, mask, qr));
+                let before = dir.value_before();
+                let mut occurrence = 0;
+                for start in sg.state_ids() {
+                    if labelled[start.index()] == label || !graph.is(start, bit, before, true) {
+                        continue;
+                    }
+                    occurrence += 1;
+                    let (er, qr) = regions.push_region(sig, dir, occurrence);
+                    let mut mask = 0;
+                    labelled[start.index()] = label;
+                    stack.push(start);
+                    while let Some(u) = stack.pop() {
+                        insert(er, u);
+                        mask |= graph.excited(u);
+                        // The state the region's own transition lands in
+                        // seeds its QR (Definition 6).
+                        if let Some(v) = graph.fire(u, bit) {
+                            if graph.is(v, bit, !before, false) && !contains(qr, v) {
+                                insert(qr, v);
+                                qr_stack.push(v);
+                            }
+                        }
+                        for &v in graph.neighbours(u) {
+                            if labelled[v.index()] != label && graph.is(v, bit, before, true) {
+                                labelled[v.index()] = label;
+                                stack.push(v);
+                            }
+                        }
+                    }
+                    while let Some(u) = qr_stack.pop() {
+                        for &v in graph.neighbours(u) {
+                            if !contains(qr, v) && graph.is(v, bit, !before, false) {
+                                insert(qr, v);
+                                qr_stack.push(v);
+                            }
+                        }
+                    }
+                    er_masks.push(mask);
                 }
             }
         }
-        // The sorted slices are built once the sweep's scratch is freed,
+        // The member lists are laid out once the sweep's scratch is freed,
         // so the two never occupy memory together.
         drop((graph, labelled, stack, qr_stack));
-        let mut regions = Regions::empty(sg.signal_count());
-        let mut er_masks = Vec::with_capacity(found.len());
-        for (signal, dir, occurrence, er_set, mask, qr_set) in found {
-            let er = ExcitationRegion { signal, dir, occurrence, states: members(&er_set) };
-            regions.push(er, er_set, members(&qr_set), qr_set);
-            er_masks.push(mask);
-        }
+        regions.finish(sg.signal_count());
         regions.er_masks = OnceLock::from(er_masks);
         regions
     }
 
-    /// An analysis with no regions over `signal_count` signals.
-    fn empty(signal_count: usize) -> Regions {
+    /// An analysis with no regions over `state_count` states.
+    fn empty(state_count: usize) -> Regions {
         Regions {
-            ers: Vec::new(),
-            qrs: Vec::new(),
-            cfrs: Vec::new(),
-            er_sets: Vec::new(),
-            qr_sets: Vec::new(),
-            cfr_sets: Vec::new(),
-            by_signal: vec![Vec::new(); signal_count],
+            heads: Vec::new(),
+            state_count,
+            sets: Vec::new(),
+            members: Vec::new(),
+            bounds: Vec::new(),
+            by_signal: Vec::new(),
+            signal_bounds: Vec::new(),
             er_masks: OnceLock::new(),
         }
     }
 
-    /// Appends one ER with its QR and derives the CFR (the word-wise union
-    /// of the two sets). Shared by [`Regions::compute`] and
-    /// [`Regions::from_cache_bytes`] so decoded analyses are
-    /// indistinguishable from freshly computed ones.
-    fn push(&mut self, er: ExcitationRegion, er_set: BitSet, qr: Vec<StateId>, qr_set: BitSet) {
-        let mut cfr_set = er_set.clone();
-        cfr_set.union_with(&qr_set);
-        self.by_signal[er.signal.index()].push(ErId(self.ers.len() as u32));
-        self.ers.push(er);
-        self.qrs.push(qr);
-        self.cfrs.push(members(&cfr_set));
-        self.er_sets.push(er_set);
-        self.qr_sets.push(qr_set);
-        self.cfr_sets.push(cfr_set);
+    /// Appends a region with empty sets and returns its ER and QR words
+    /// for the caller to fill; [`Regions::finish`] derives the CFR.
+    fn push_region(
+        &mut self,
+        signal: SignalId,
+        dir: Dir,
+        occurrence: u32,
+    ) -> (&mut [u64], &mut [u64]) {
+        let words = self.state_count.div_ceil(64);
+        self.heads.push((signal, dir, occurrence));
+        let base = self.sets.len();
+        self.sets.resize(base + 3 * words, 0);
+        let (er, rest) = self.sets[base..].split_at_mut(words);
+        (er, &mut rest[..words])
+    }
+
+    /// Derives each CFR (the word-wise union of its ER and QR), the ER
+    /// member lists and the per-signal index from the filled heads and
+    /// sets, allocating every table to its exact size. Shared by
+    /// [`Regions::compute`] and [`Regions::from_cache_bytes`] so decoded
+    /// analyses are indistinguishable from freshly computed ones.
+    fn finish(&mut self, signal_count: usize) {
+        self.heads.shrink_to_fit();
+        self.sets.shrink_to_fit();
+        let words = self.state_count.div_ceil(64);
+        for region in self.sets.chunks_exact_mut(3 * words.max(1)) {
+            let (er, rest) = region.split_at_mut(words);
+            let (qr, cfr) = rest.split_at_mut(words);
+            for ((c, e), q) in cfr.iter_mut().zip(&*er).zip(&*qr) {
+                *c = e | q;
+            }
+        }
+        let ers = || (0..self.heads.len()).map(|i| self.er_set(ErId(i as u32)));
+        let mut members = Vec::with_capacity(ers().map(BitSlice::count).sum());
+        let mut bounds = Vec::with_capacity(self.heads.len() + 1);
+        bounds.push(0);
+        for er in ers() {
+            members.extend(er.iter());
+            bounds.push(members.len());
+        }
+        let mut signal_bounds = vec![0usize; signal_count + 1];
+        for &(signal, ..) in &self.heads {
+            signal_bounds[signal.index() + 1] += 1;
+        }
+        for b in 0..signal_count {
+            signal_bounds[b + 1] += signal_bounds[b];
+        }
+        let mut by_signal = vec![ErId(0); self.heads.len()];
+        let mut next = signal_bounds.clone();
+        for (i, &(signal, ..)) in self.heads.iter().enumerate() {
+            by_signal[next[signal.index()]] = ErId(i as u32);
+            next[signal.index()] += 1;
+        }
+        self.members = members;
+        self.bounds = bounds;
+        self.by_signal = by_signal;
+        self.signal_bounds = signal_bounds;
     }
 
     /// Per-ER excitation masks, derived from `sg` on first use when the
     /// analysis was decoded rather than computed.
     fn er_masks(&self, sg: &StateGraph) -> &[u64] {
         self.er_masks.get_or_init(|| {
-            self.ers
-                .iter()
-                .map(|er| er.states.iter().fold(0, |mask, &s| mask | sg.excited_mask(s)))
+            self.ers()
+                .map(|(_, er)| er.states.iter().fold(0, |mask, &s| mask | sg.excited_mask(s)))
                 .collect()
         })
     }
@@ -242,14 +293,14 @@ impl Regions {
     pub fn to_cache_bytes(&self) -> Vec<u8> {
         use std::fmt::Write as _;
         let mut out = String::from("simc.regions.v1\n");
-        let _ = writeln!(out, "count {}", self.ers.len());
-        for (er, qr) in self.ers.iter().zip(&self.qrs) {
+        let _ = writeln!(out, "count {}", self.er_count());
+        for (id, er) in self.ers() {
             let _ = write!(out, "er {} {} {}", er.signal.index(), er.dir.sign(), er.occurrence);
-            for s in &er.states {
+            for s in er.states {
                 let _ = write!(out, " {}", s.index());
             }
             out.push_str("\nqr");
-            for s in qr {
+            for s in self.qr_set(id).iter() {
                 let _ = write!(out, " {}", s.index());
             }
             out.push('\n');
@@ -275,21 +326,23 @@ impl Regions {
             return None;
         }
         let count: usize = lines.next()?.strip_prefix("count ")?.parse().ok()?;
-        let parse_states = |tokens: std::str::SplitWhitespace<'_>| -> Option<Vec<StateId>> {
-            let mut states = Vec::new();
+        // Writes the listed states into `set`; the list must be strictly
+        // ascending and in range. Returns how many were listed.
+        let parse_states = |tokens: std::str::SplitWhitespace<'_>, set: &mut [u64]| {
+            let mut last = None;
+            let mut listed = 0;
             for token in tokens {
                 let index: usize = token.parse().ok()?;
-                if index >= state_count {
+                if index >= state_count || last.is_some_and(|l| l >= index) {
                     return None;
                 }
-                states.push(StateId(index as u32));
+                last = Some(index);
+                insert(set, StateId(index as u32));
+                listed += 1;
             }
-            if states.windows(2).any(|w| w[0] >= w[1]) {
-                return None;
-            }
-            Some(states)
+            Some(listed)
         };
-        let mut regions = Regions::empty(signal_count);
+        let mut regions = Regions::empty(state_count);
         for _ in 0..count {
             let mut tokens = lines.next()?.split_whitespace();
             if tokens.next()? != "er" {
@@ -305,34 +358,26 @@ impl Regions {
                 _ => return None,
             };
             let occurrence: u32 = tokens.next()?.parse().ok()?;
-            let states = parse_states(tokens)?;
-            if states.is_empty() {
+            let (er, qr) = regions.push_region(SignalId(signal_index as u32), dir, occurrence);
+            if parse_states(tokens, er)? == 0 {
                 return None;
             }
-            let er_set = BitSet::from_ids(state_count, states.iter().copied());
-            let er = ExcitationRegion {
-                signal: SignalId(signal_index as u32),
-                dir,
-                occurrence,
-                states,
-            };
             let mut tokens = lines.next()?.split_whitespace();
             if tokens.next()? != "qr" {
                 return None;
             }
-            let qr = parse_states(tokens)?;
-            let qr_set = BitSet::from_ids(state_count, qr.iter().copied());
-            regions.push(er, er_set, qr, qr_set);
+            parse_states(tokens, qr)?;
         }
         if lines.next().is_some() {
             return None;
         }
+        regions.finish(signal_count);
         Some(regions)
     }
 
     /// All excitation regions.
-    pub fn ers(&self) -> impl Iterator<Item = (ErId, &ExcitationRegion)> {
-        self.ers.iter().enumerate().map(|(i, er)| (ErId(i as u32), er))
+    pub fn ers(&self) -> impl Iterator<Item = (ErId, ExcitationRegion<'_>)> {
+        (0..self.heads.len()).map(|i| (ErId(i as u32), self.er(ErId(i as u32))))
     }
 
     /// The region with the given id.
@@ -340,18 +385,20 @@ impl Regions {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn er(&self, id: ErId) -> &ExcitationRegion {
-        &self.ers[id.index()]
+    pub fn er(&self, id: ErId) -> ExcitationRegion<'_> {
+        let (signal, dir, occurrence) = self.heads[id.index()];
+        let states = &self.members[self.bounds[id.index()]..self.bounds[id.index() + 1]];
+        ExcitationRegion { signal, dir, occurrence, states }
     }
 
     /// Number of excitation regions.
     pub fn er_count(&self) -> usize {
-        self.ers.len()
+        self.heads.len()
     }
 
     /// Regions of a particular signal, in id order.
     pub fn ers_of_signal(&self, sig: SignalId) -> &[ErId] {
-        &self.by_signal[sig.index()]
+        &self.by_signal[self.signal_bounds[sig.index()]..self.signal_bounds[sig.index() + 1]]
     }
 
     /// Regions of a particular transition `±a` (all occurrences).
@@ -366,38 +413,49 @@ impl Regions {
     /// The region containing state `s` for signal `sig`, if `sig` is
     /// excited there.
     pub fn er_containing(&self, s: StateId, sig: SignalId) -> Option<ErId> {
-        self.ers_of_signal(sig)
-            .iter()
-            .copied()
-            .find(|&id| self.er_sets[id.index()].contains(s))
+        self.ers_of_signal(sig).iter().copied().find(|&id| self.er_set(id).contains(s))
     }
 
     /// The quiescent region `QR(±a_j)` following the given ER
-    /// (Definition 6). May be empty when the next transition of the signal
-    /// is enabled immediately.
-    pub fn qr(&self, id: ErId) -> &[StateId] {
-        &self.qrs[id.index()]
+    /// (Definition 6), sorted by state id. May be empty when the next
+    /// transition of the signal is enabled immediately. Collected from
+    /// [`Regions::qr_set`].
+    pub fn qr(&self, id: ErId) -> Vec<StateId> {
+        self.qr_set(id).iter().collect()
     }
 
     /// The constant-function region `CFR(±a_j) = ER ∪ QR` (Definition 7),
-    /// sorted by state id. Cached at [`Regions::compute`] time.
-    pub fn cfr(&self, id: ErId) -> &[StateId] {
-        &self.cfrs[id.index()]
+    /// sorted by state id. Collected from [`Regions::cfr_set`], whose
+    /// `iter` walks the same states in the same order without allocating.
+    pub fn cfr(&self, id: ErId) -> Vec<StateId> {
+        self.cfr_set(id).iter().collect()
+    }
+
+    /// One of a region's characteristic sets: 0 = ER, 1 = QR, 2 = CFR.
+    fn set(&self, id: ErId, part: usize) -> BitSlice<'_> {
+        let words = self.state_count.div_ceil(64);
+        BitSlice::new(&self.sets[(3 * id.index() + part) * words..][..words], self.state_count)
     }
 
     /// The same CFR as a dense bitset, for O(1) membership tests.
-    pub fn cfr_set(&self, id: ErId) -> &BitSet {
-        &self.cfr_sets[id.index()]
+    pub fn cfr_set(&self, id: ErId) -> BitSlice<'_> {
+        self.set(id, 2)
     }
 
     /// The ER as a dense characteristic bitset over all states.
-    pub fn er_set(&self, id: ErId) -> &BitSet {
-        &self.er_sets[id.index()]
+    pub fn er_set(&self, id: ErId) -> BitSlice<'_> {
+        self.set(id, 0)
     }
 
     /// The QR as a dense characteristic bitset over all states.
-    pub fn qr_set(&self, id: ErId) -> &BitSet {
-        &self.qr_sets[id.index()]
+    pub fn qr_set(&self, id: ErId) -> BitSlice<'_> {
+        self.set(id, 1)
+    }
+
+    /// The OR of the excitation masks of the ER's states: bit `b` is set
+    /// iff signal `b` is excited somewhere in the region.
+    pub fn excitation_mask(&self, sg: &StateGraph, id: ErId) -> u64 {
+        self.er_masks(sg)[id.index()]
     }
 
     /// Minimal states of the ER (Definition 8): states with no predecessor
@@ -446,7 +504,7 @@ impl Regions {
     ///
     /// The region's own signal is never ordered with respect to itself.
     pub fn is_ordered(&self, sg: &StateGraph, id: ErId, b: SignalId) -> bool {
-        b != self.er(id).signal() && self.er_masks(sg)[id.index()] >> b.index() & 1 == 0
+        b != self.er(id).signal() && self.excitation_mask(sg, id) >> b.index() & 1 == 0
     }
 
     /// Signals concurrent with the ER (Definition 11), excluding the ER's
@@ -565,13 +623,6 @@ impl Sweep {
     fn neighbours(&self, s: StateId) -> &[StateId] {
         &self.edges[self.bounds[2 * s.index()]..self.bounds[2 * s.index() + 2]]
     }
-}
-
-/// Members of `set` in ascending order, allocated to size.
-fn members(set: &BitSet) -> Vec<StateId> {
-    let mut out = Vec::with_capacity(set.count());
-    out.extend(set.iter());
-    out
 }
 
 #[cfg(test)]

@@ -158,6 +158,17 @@ for workload in table1 scale-ring serve-mix; do
         *'"failed": 0'*) ;;
         *) echo "error: perfbench $workload: $last" >&2; exit 1 ;;
     esac
+    # Quality pin: speed work must not change which signals the search
+    # inserts or which covers it picks. A deliberate quality change
+    # updates these two values in the same change.
+    if [ "$workload" = table1 ]; then
+        case "$last" in
+            *'"literals": {"value": 191,'*'"circuit_signals": {"value": 60,'*) ;;
+            *) echo "error: perfbench table1 must report literals 191 and" \
+                    "circuit_signals 60: $last" >&2
+               exit 1 ;;
+        esac
+    fi
 done
 
 echo "==> perfbench tests: the independent checker's rejection tests"

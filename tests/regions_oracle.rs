@@ -136,7 +136,7 @@ fn assert_matches(name: &str, sg: &StateGraph, regions: &Regions, expected: &[Re
         assert_eq!(er.states(), &want.states[..], "{at}: ER");
         assert_eq!(regions.qr(id), &want.qr[..], "{at}: QR");
         assert_eq!(regions.cfr(id), &want.cfr[..], "{at}: CFR");
-        let members = |set: &simc::sg::BitSet| set.iter().collect::<Vec<_>>();
+        let members = |set: simc::sg::BitSlice<'_>| set.iter().collect::<Vec<_>>();
         assert_eq!(members(regions.er_set(id)), want.states, "{at}: ER set");
         assert_eq!(members(regions.qr_set(id)), want.qr, "{at}: QR set");
         assert_eq!(members(regions.cfr_set(id)), want.cfr, "{at}: CFR set");
