@@ -159,7 +159,10 @@ pub fn check_case(
         branch: 4,
         ..ReduceOptions::default()
     };
+    // One thread per pipeline: the campaign already runs one case per
+    // shard thread.
     let mut pipeline = Pipeline::from_sg(sg.clone())
+        .with_threads(1)
         .with_reduce_options(reduce_opts)
         .with_target(Target::CElement);
     let (working, implementation) = match pipeline.implemented() {
@@ -232,6 +235,7 @@ pub fn check_case(
     // Oracle 2: the RS-latch style of the same graph also verifies
     // (through the same pipeline route, from the already-reduced graph).
     let mut rs_pipeline = Pipeline::from_sg(working.clone())
+        .with_threads(1)
         .with_reduce_options(reduce_opts)
         .with_target(Target::RsLatch);
     match rs_pipeline.verified() {

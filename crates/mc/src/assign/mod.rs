@@ -41,8 +41,9 @@ pub struct ReduceOptions {
     pub beam_width: usize,
     /// Candidates kept per beam node per depth.
     pub branch: usize,
-    /// Worker threads for beam-node expansion (1 = sequential). Results
-    /// are identical for every thread count.
+    /// Worker threads for beam-node expansion and the portfolio race
+    /// (1 = sequential). Results are identical for every thread count.
+    /// `simc_pipeline::Pipeline` sets it to its own thread count.
     pub threads: usize,
     /// Number of alternative solver configurations raced when the primary
     /// configuration finds no candidate at all for a beam node (0
@@ -201,14 +202,12 @@ pub fn reduce_to_mc(sg: &StateGraph, opts: ReduceOptions) -> Result<ReduceResult
         let mut pool: Vec<Node> = Vec::new();
         let mut expanded_nodes = 0usize;
         'depth: for batch in beam.chunks(NODE_BATCH) {
-            // Candidate search walks each node's state set per examined
-            // model: states × edges approximates a node's work, keeping
-            // figure-sized graphs inline while real benchmarks fan out.
-            let work: u64 = batch
-                .iter()
-                .map(|n| n.sg.state_count() as u64 * n.sg.edge_count() as u64)
-                .sum();
-            let expansions = crate::parallel::parallel_map_sized(batch, opts.threads, work, |node| {
+            // A node is one SAT enumeration plus a score per model, so
+            // even a figure-sized node outweighs a thread spawn: the
+            // batch is not sized by states × edges (which would keep
+            // every suite graph inline). A one-node batch still runs
+            // inline, through the map's clamp to the item count.
+            let expansions = crate::parallel::parallel_map(batch, opts.threads, |node| {
                 let span = simc_obs::span("node_check");
                 let check = McCheck::new(&node.sg);
                 span.finish();

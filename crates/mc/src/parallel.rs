@@ -62,13 +62,20 @@ where
     parallel_map_exact(items, threads.min(hw), f)
 }
 
-/// [`parallel_map`] without the hardware clamp: spawns exactly
-/// `threads` workers (clamped to the item count only). Tests use it to
-/// exercise the scoped-thread machinery regardless of the machine
-/// running them, and `simc serve` uses it for its worker pool — pool
-/// workers *block* (on sockets, queues and in-flight computations
-/// they joined), so unlike the CPU-bound cover search they must be
-/// allowed to outnumber hardware threads.
+/// [`parallel_map`] without the hardware clamp: runs on exactly
+/// `threads` threads (clamped to the item count only), the calling
+/// thread and `threads − 1` spawned workers, all claiming items off one
+/// counter. Tests use it to exercise the scoped-thread machinery
+/// regardless of the machine running them, and `simc serve` uses it for
+/// its worker pool — pool workers *block* (on sockets, queues and
+/// in-flight computations they joined), so unlike the CPU-bound cover
+/// search they must be allowed to outnumber hardware threads.
+///
+/// Workers run under the caller's open spans ([`simc_obs::span_path`]),
+/// so a span opened inside `f` gets the same path on every thread, and
+/// when the caller has a [`simc_obs::StatsScope`] open, each worker
+/// captures its counters in a scope of its own that the caller absorbs,
+/// so the caller's scope sees all of the map's work.
 pub fn parallel_map_exact<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -80,25 +87,38 @@ where
         return items.iter().map(f).collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
+    let claim = || {
+        let mut claimed = Vec::new();
+        loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if i >= items.len() {
+                return claimed;
+            }
+            claimed.push((i, f(&items[i])));
+        }
+    };
+    let path = simc_obs::span_path();
+    let scoped = simc_obs::scope_open();
+    let worker = || {
+        simc_obs::with_span_path(&path, || {
+            let scope = scoped.then(simc_obs::scope);
+            let claimed = claim();
+            (claimed, scope.map(simc_obs::StatsScope::finish))
+        })
+    };
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut claimed = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= items.len() {
-                            return claimed;
-                        }
-                        claimed.push((i, f(&items[i])));
-                    }
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+        for (i, r) in claim() {
+            slots[i] = Some(r);
+        }
         for handle in handles {
-            for (i, r) in handle.join().expect("synthesis worker panicked") {
+            let (claimed, counts) = handle.join().expect("synthesis worker panicked");
+            for (i, r) in claimed {
                 slots[i] = Some(r);
+            }
+            if let Some(counts) = counts {
+                simc_obs::absorb(&counts);
             }
         }
     });
@@ -215,6 +235,34 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(parallel_map_exact(&empty, 8, |&i| i).is_empty());
         assert_eq!(parallel_map_exact(&[7u32], 8, |&i| i + 1), vec![8]);
+    }
+
+    #[test]
+    fn item_spans_nest_under_the_callers_span() {
+        // Every item waits at a barrier until all three threads hold one,
+        // so the caller and both workers each run an item.
+        let barrier = std::sync::Barrier::new(3);
+        simc_obs::set_stats(true);
+        let scope = simc_obs::scope();
+        let outer = simc_obs::span("map_caller");
+        let threads = parallel_map_exact(&[0u8; 3], 3, |_| {
+            barrier.wait();
+            let span = simc_obs::span("map_item");
+            simc_obs::add(simc_obs::Counter::PortfolioRaces, 1);
+            span.finish();
+            std::thread::current().id()
+        });
+        outer.finish();
+        let counts = scope.finish();
+        simc_obs::set_stats(false);
+        let distinct: std::collections::HashSet<_> = threads.into_iter().collect();
+        assert_eq!(distinct.len(), 3, "the caller and two workers each ran an item");
+        let report = simc_obs::report();
+        let nested = report.span("map_caller/map_item").expect("item spans nest");
+        assert_eq!(nested.calls, 3);
+        assert!(report.span("map_item").is_none(), "no item span is a root");
+        let races = counts.iter().find(|&&(c, _)| c == simc_obs::Counter::PortfolioRaces);
+        assert_eq!(races.map(|&(_, v)| v), Some(3), "the caller's scope saw every item");
     }
 
     #[test]

@@ -320,9 +320,10 @@ pub fn reset() {
 /// `finish` folds the inner counts back into the outer scope (sums add,
 /// maxima merge), so the outer scope's totals stay complete.
 ///
-/// Work recorded on *other* threads (a pipeline run with `threads > 1`)
-/// is not attributed to any scope; scoped callers run single-threaded
-/// pipelines, which is exactly what the server's worker pool does.
+/// Work recorded on *other* threads is not attributed to any scope,
+/// except where the thread that spawned them folds their counts back in
+/// with [`absorb`], as `simc`'s parallel maps do: a scope open around a
+/// threaded pipeline run sees all of its work.
 #[derive(Debug)]
 #[must_use = "a scope captures counters until it is finished or dropped"]
 pub struct StatsScope {
@@ -340,6 +341,34 @@ pub fn scope() -> StatsScope {
     StatsScope { outer, finished: false }
 }
 
+/// Merges `v` into a scope's cell for `c` by the counter's [`Kind`].
+fn fold(cells: &mut [u64; N_COUNTERS], c: Counter, v: u64) {
+    let cell = &mut cells[c as usize];
+    *cell = match c.kind() {
+        Kind::Sum => cell.saturating_add(v),
+        Kind::Max => (*cell).max(v),
+    };
+}
+
+/// Whether a [`StatsScope`] is open on the current thread.
+pub fn scope_open() -> bool {
+    SCOPE_CELLS.with(|cells| cells.borrow().is_some())
+}
+
+/// Folds `counts`, as another thread's [`StatsScope::finish`] returned
+/// them, into the scope open on the current thread (sums add, maxima
+/// merge). A no-op when no scope is open. The process-global counters
+/// are unaffected: the other thread already recorded into them.
+pub fn absorb(counts: &[(Counter, u64)]) {
+    SCOPE_CELLS.with(|cells| {
+        if let Some(cells) = cells.borrow_mut().as_mut() {
+            for &(c, v) in counts {
+                fold(cells, c, v);
+            }
+        }
+    });
+}
+
 impl StatsScope {
     fn close(&mut self) -> Vec<(Counter, u64)> {
         if self.finished {
@@ -350,11 +379,8 @@ impl StatsScope {
             let mut slot = cells.borrow_mut();
             let mine = slot.take().unwrap_or_else(|| Box::new([0u64; N_COUNTERS]));
             if let Some(mut outer) = self.outer.take() {
-                for (i, &c) in Counter::ALL.iter().enumerate() {
-                    outer[i] = match c.kind() {
-                        Kind::Sum => outer[i].saturating_add(mine[i]),
-                        Kind::Max => outer[i].max(mine[i]),
-                    };
+                for &c in Counter::ALL {
+                    fold(&mut outer, c, mine[c as usize]);
                 }
                 *slot = Some(outer);
             }
@@ -382,7 +408,9 @@ impl Drop for StatsScope {
 ///
 /// The span's path is its name prefixed by every span already open *on
 /// the same thread* (`parent/child`), so phases nest naturally on the
-/// driver thread while worker-thread spans become their own roots.
+/// driver thread while worker-thread spans become their own roots —
+/// unless the worker runs under its caller's [`SpanPath`] through
+/// [`with_span_path`], as `simc`'s parallel maps do.
 #[derive(Debug)]
 #[must_use = "a span measures the time until it is finished or dropped"]
 pub struct Span {
@@ -447,6 +475,40 @@ pub fn span(name: &'static str) -> Span {
         path
     });
     Span { start: Some(Instant::now()), path: Some(path), finished: false }
+}
+
+/// The names of the spans open on one thread, outermost first: what a
+/// worker thread adopts with [`with_span_path`] so that its spans nest
+/// under the caller's. Empty when timing is disabled.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SpanPath(Vec<&'static str>);
+
+/// The spans open on the current thread (see [`SpanPath`]).
+pub fn span_path() -> SpanPath {
+    if !timing_enabled() {
+        return SpanPath::default();
+    }
+    SpanPath(SPAN_STACK.with(|stack| stack.borrow().clone()))
+}
+
+/// Runs `f` with `path` as the current thread's open spans, so a span
+/// opened inside `f` is recorded under `path` rather than as a root.
+/// The thread's own open spans are restored afterwards, also when `f`
+/// panics.
+pub fn with_span_path<R>(path: &SpanPath, f: impl FnOnce() -> R) -> R {
+    struct Restore(Vec<&'static str>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let own = std::mem::take(&mut self.0);
+            SPAN_STACK.with(|stack| *stack.borrow_mut() = own);
+        }
+    }
+    if path.0.is_empty() {
+        return f();
+    }
+    let own = SPAN_STACK.with(|stack| std::mem::replace(&mut *stack.borrow_mut(), path.0.clone()));
+    let _restore = Restore(own);
+    f()
 }
 
 /// Accumulated wall-clock statistics of one span path.
@@ -666,6 +728,28 @@ mod tests {
     }
 
     #[test]
+    fn workers_under_the_callers_path_nest_under_it() {
+        let _g = lock();
+        set_stats(true);
+        reset();
+        let outer = span("driver");
+        let path = span_path();
+        assert_eq!(path, SpanPath(vec!["driver"]));
+        std::thread::scope(|scope| {
+            scope.spawn(|| with_span_path(&path, || span("worker").finish())).join().unwrap();
+        });
+        outer.finish();
+        let r = report();
+        assert!(r.span("driver/worker").is_some(), "worker span nests under the caller's");
+        assert!(r.span("worker").is_none());
+        // The caller's own stack is untouched: a later span is a root.
+        span("after").finish();
+        assert!(report().span("after").is_some());
+        set_stats(false);
+        assert_eq!(span_path(), SpanPath::default(), "empty when timing is off");
+    }
+
+    #[test]
     fn concurrent_sums_merge_deterministically() {
         let _g = lock();
         set_stats(true);
@@ -712,6 +796,37 @@ mod tests {
         // ...while the globals kept the merged totals.
         assert_eq!(value(Counter::ServeRequests), 3);
         assert_eq!(value(Counter::VerifyPeakFrontier), 20);
+        set_stats(false);
+    }
+
+    #[test]
+    fn absorbed_worker_counts_join_the_open_scope() {
+        let _g = lock();
+        set_stats(true);
+        reset();
+        let outer = scope();
+        assert!(scope_open());
+        add(Counter::ServeRequests, 1);
+        let worker = std::thread::scope(|s| {
+            s.spawn(|| {
+                let scope = scope();
+                add(Counter::ServeRequests, 2);
+                record_max(Counter::VerifyPeakFrontier, 7);
+                scope.finish()
+            })
+            .join()
+            .unwrap()
+        });
+        absorb(&worker);
+        let snap = outer.finish();
+        assert!(!scope_open());
+        let get = |c: Counter| snap.iter().find(|&&(x, _)| x == c).map(|&(_, v)| v).unwrap();
+        assert_eq!(get(Counter::ServeRequests), 3);
+        assert_eq!(get(Counter::VerifyPeakFrontier), 7);
+        // The globals counted the worker once, when it recorded.
+        assert_eq!(value(Counter::ServeRequests), 3);
+        absorb(&worker);
+        assert_eq!(value(Counter::ServeRequests), 3, "no scope: nothing to fold into");
         set_stats(false);
     }
 

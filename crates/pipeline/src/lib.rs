@@ -246,7 +246,7 @@ impl Pipeline {
     fn new(source: Source) -> Self {
         Pipeline {
             source: Some(source),
-            threads: 1,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cache: None,
             target: Target::CElement,
             reduce_options: ReduceOptions::default(),
@@ -273,8 +273,11 @@ impl Pipeline {
         Pipeline::new(Source::Text(text.into()))
     }
 
-    /// Sets the worker-thread count for the cover search (results are
-    /// byte-identical for every thread count).
+    /// Sets the worker-thread count for the cover search and for the
+    /// MC-reduction's beam search (results are byte-identical for every
+    /// thread count). The default is the machine's available
+    /// parallelism; callers that already run pipelines side by side (the
+    /// `simc serve` pool, `simc batch`, the fuzz oracle) pin it to 1.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -294,7 +297,9 @@ impl Pipeline {
         self
     }
 
-    /// Overrides the MC-reduction search budgets.
+    /// Overrides the MC-reduction search budgets. Their `threads` field
+    /// is ignored: the reduction runs on [`Pipeline::with_threads`]'s
+    /// count.
     pub fn with_reduce_options(mut self, options: ReduceOptions) -> Self {
         self.reduce_options = options;
         self
@@ -537,7 +542,7 @@ impl Pipeline {
     /// the canonical reduced graph, the insertion count and the log.
     fn reduce_stage(&self) -> Result<(Arc<Canonical>, usize, Vec<String>), Error> {
         let elaborated = self.elaborated.as_ref().expect("elaborated");
-        let opts = self.reduce_options;
+        let opts = ReduceOptions { threads: self.threads, ..self.reduce_options };
         memoized(
             self.cache.as_deref(),
             || {

@@ -33,13 +33,59 @@ impl fmt::Display for StateId {
     }
 }
 
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct StateData {
-    pub(crate) code: StateCode,
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct StateData {
+    code: StateCode,
     /// Bit `i` set iff some edge out of the state fires signal `i`.
-    pub(crate) excited: u64,
-    pub(crate) succs: Vec<(Transition, StateId)>,
-    pub(crate) preds: Vec<(Transition, StateId)>,
+    excited: u64,
+}
+
+/// One direction of a graph's edges in compressed rows: the edges of
+/// state `s` are `edges[offsets[s]..offsets[s + 1]]`, so a whole graph's
+/// adjacency is two allocations however many states it has.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct Rows {
+    offsets: Vec<u32>,
+    edges: Vec<(Transition, StateId)>,
+}
+
+impl Rows {
+    /// Row offsets over `n` states for rows sized by how often each state
+    /// occurs in `rows`.
+    fn offsets(n: usize, rows: impl Iterator<Item = StateId>) -> Vec<u32> {
+        let mut offsets = vec![0u32; n + 1];
+        for row in rows {
+            offsets[row.index() + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        offsets
+    }
+
+    /// Files each `(row, edge)` pair into its row over `n` states,
+    /// keeping the pairs' order within every row: a stable counting sort
+    /// that walks `pairs` twice (once to count, once to place).
+    fn grouped<I>(n: usize, pairs: I) -> Rows
+    where
+        I: Iterator<Item = (StateId, (Transition, StateId))> + Clone,
+    {
+        let offsets = Rows::offsets(n, pairs.clone().map(|(row, _)| row));
+        let mut cursor = offsets[..n].to_vec();
+        let placeholder = (Transition::rise(SignalId::new(0)), StateId(0));
+        let mut edges = vec![placeholder; offsets[n] as usize];
+        for (row, edge) in pairs {
+            let slot = &mut cursor[row.index()];
+            edges[*slot as usize] = edge;
+            *slot += 1;
+        }
+        Rows { offsets, edges }
+    }
+
+    fn row(&self, s: StateId) -> &[(Transition, StateId)] {
+        let i = s.index();
+        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
 }
 
 /// A finite-automaton state graph `G = <X, S, T, δ, s0>` (Section II-A).
@@ -58,6 +104,8 @@ pub(crate) struct StateData {
 pub struct StateGraph {
     signals: Vec<Signal>,
     states: Vec<StateData>,
+    succs: Rows,
+    preds: Rows,
     initial: StateId,
 }
 
@@ -74,7 +122,7 @@ impl StateGraph {
 
     /// Number of edges (fired transitions).
     pub fn edge_count(&self) -> usize {
-        self.states.iter().map(|s| s.succs.len()).sum()
+        self.succs.edges.len()
     }
 
     /// The initial state `s0`.
@@ -130,12 +178,12 @@ impl StateGraph {
 
     /// Outgoing edges of `s`: `(transition, successor)` pairs.
     pub fn succs(&self, s: StateId) -> &[(Transition, StateId)] {
-        &self.states[s.index()].succs
+        self.succs.row(s)
     }
 
     /// Incoming edges of `s`: `(transition, predecessor)` pairs.
     pub fn preds(&self, s: StateId) -> &[(Transition, StateId)] {
-        &self.states[s.index()].preds
+        self.preds.row(s)
     }
 
     /// Whether signal `sig` is *excited* in state `s` (Section II-A): some
@@ -477,6 +525,10 @@ fn parse_starred(raw: &str, n: usize) -> Result<(StateCode, Vec<SignalId>), SgEr
 pub struct SgBuilder {
     signals: Vec<Signal>,
     states: Vec<StateData>,
+    /// Every edge's `(transition, target)` in insertion order, and its
+    /// source at the same index of `sources`.
+    edges: Vec<(Transition, StateId)>,
+    sources: Vec<StateId>,
     initial: Option<StateId>,
 }
 
@@ -507,7 +559,7 @@ impl SgBuilder {
 
     /// Adds a state with the given code and returns its id.
     pub fn add_state(&mut self, code: StateCode) -> StateId {
-        self.states.push(StateData { code, excited: 0, succs: Vec::new(), preds: Vec::new() });
+        self.states.push(StateData { code, excited: 0 });
         StateId::new(self.states.len() - 1)
     }
 
@@ -538,10 +590,9 @@ impl SgBuilder {
                 })
             }
         }
-        let from_data = &mut self.states[from.index()];
-        from_data.excited |= 1 << t.signal.index();
-        from_data.succs.push((t, to));
-        self.states[to.index()].preds.push((t, from));
+        self.states[from.index()].excited |= 1 << t.signal.index();
+        self.edges.push((t, to));
+        self.sources.push(from);
         Ok(())
     }
 
@@ -550,7 +601,8 @@ impl SgBuilder {
         self.initial = Some(s);
     }
 
-    /// Finalizes the graph.
+    /// Finalizes the graph. Each state's successors and predecessors
+    /// keep the order in which their edges were added.
     ///
     /// # Errors
     ///
@@ -563,17 +615,37 @@ impl SgBuilder {
         }
         let initial = self.initial.unwrap_or(StateId::new(0));
         let n = self.signals.len();
-        let sg = StateGraph { signals: self.signals, states: self.states, initial };
-        let reachable = sg.reachable();
-        if reachable.len() != sg.state_count() {
-            let mut seen = vec![false; sg.state_count()];
-            for s in &reachable {
-                seen[s.index()] = true;
+        let states = self.states.len();
+        assert!(u32::try_from(self.edges.len()).is_ok(), "edge count fits the u32 row offsets");
+        let preds = Rows::grouped(
+            states,
+            self.edges.iter().zip(&self.sources).map(|(&(t, to), &from)| (to, (t, from))),
+        );
+        // Builders add edges state by state (breadth-first, or in file
+        // order), so the insertion order usually is the successor order
+        // already and the edge list becomes the rows as it is.
+        let succs = if self.sources.is_sorted() {
+            Rows { offsets: Rows::offsets(states, self.sources.iter().copied()), edges: self.edges }
+        } else {
+            Rows::grouped(states, self.sources.iter().copied().zip(self.edges.iter().copied()))
+        };
+        drop(self.sources);
+        let sg = StateGraph { signals: self.signals, states: self.states, succs, preds, initial };
+        // A depth-first sweep with both buffers sized up front: every
+        // candidate expansion of the assignment search comes through here.
+        let mut seen = vec![false; sg.state_count()];
+        let mut stack = Vec::with_capacity(sg.state_count());
+        seen[initial.index()] = true;
+        stack.push(initial);
+        while let Some(s) = stack.pop() {
+            for &(_, t) in sg.succs(s) {
+                if !seen[t.index()] {
+                    seen[t.index()] = true;
+                    stack.push(t);
+                }
             }
-            let bad = sg
-                .state_ids()
-                .find(|s| !seen[s.index()])
-                .expect("some state is unreachable");
+        }
+        if let Some(bad) = sg.state_ids().find(|s| !seen[s.index()]) {
             return Err(SgError::Unreachable(sg.code(bad).display(n)));
         }
         Ok(sg)
@@ -712,6 +784,67 @@ mod tests {
         let trace = sg.trace_to(s11).unwrap();
         assert_eq!(trace.len(), 2);
         assert_eq!(sg.trace_to(sg.initial()).unwrap().len(), 0);
+    }
+
+    /// Two independent inputs toggling concurrently: every state has two
+    /// successors and two predecessors. The edges are added in `order`.
+    fn square(order: &[usize]) -> StateGraph {
+        let mut b = SgBuilder::new();
+        let a = b.add_signal("a", SignalKind::Input).unwrap();
+        let c = b.add_signal("c", SignalKind::Input).unwrap();
+        let states: Vec<StateId> =
+            (0..4).map(|bits| b.add_state(StateCode::from_bits(bits))).collect();
+        let toggle = |bits: u64, sig: SignalId| {
+            let dir = if bits >> sig.index() & 1 == 1 { Dir::Fall } else { Dir::Rise };
+            (Transition { signal: sig, dir }, bits ^ 1 << sig.index())
+        };
+        let edges: Vec<(StateId, Transition, StateId)> = (0..4u64)
+            .flat_map(|bits| [a, c].map(|sig| (bits, toggle(bits, sig))))
+            .map(|(bits, (t, to))| (states[bits as usize], t, states[to as usize]))
+            .collect();
+        for &i in order {
+            let (from, t, to) = edges[i];
+            b.add_edge(from, t, to).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn rows_keep_insertion_order() {
+        // Sources in order (the rows are the edge list as added) and out
+        // of order (the counting sort), each with reversed pairs.
+        for order in [[1, 0, 2, 3, 5, 4, 6, 7], [7, 2, 4, 1, 6, 0, 3, 5]] {
+            let sg = square(&order);
+            assert_eq!(sg.edge_count(), 8);
+            let mut succs = vec![Vec::new(); 4];
+            let mut preds = vec![Vec::new(); 4];
+            let reference = square(&[0, 1, 2, 3, 4, 5, 6, 7]);
+            for &i in &order {
+                let from = StateId::new(i / 2);
+                let (t, to) = reference.succs(from)[i % 2];
+                succs[from.index()].push((t, to));
+                preds[to.index()].push((t, from));
+            }
+            for s in sg.state_ids() {
+                assert_eq!(sg.succs(s), succs[s.index()], "{order:?}: successors of {s}");
+                assert_eq!(sg.preds(s), preds[s.index()], "{order:?}: predecessors of {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn sg_round_trip_is_structurally_equal() {
+        // `parse_sg` numbers states and lists edges in the order the text
+        // names them, which for a canonical graph is its own order.
+        let in_order = square(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        let back = crate::io::parse_sg(&crate::io::write_sg(&in_order, "square")).unwrap();
+        assert_eq!(back, in_order);
+        let shuffled = square(&[7, 2, 4, 1, 6, 0, 3, 5]);
+        assert_ne!(shuffled, in_order, "equality compares row order");
+        let canonical = crate::io::canonical_graph(&shuffled);
+        assert_eq!(canonical, crate::io::canonical_graph(&in_order));
+        let back = crate::io::parse_sg(&crate::io::write_sg(&canonical, "square")).unwrap();
+        assert_eq!(back, canonical);
     }
 
     #[test]

@@ -108,8 +108,23 @@ impl<'g> Analysis<'g> {
 
     /// Output semi-modularity (Definition 2): no *internally* conflict
     /// state; input conflicts (environment choice) are permitted.
+    ///
+    /// Equal to `internal_conflicts().is_empty()`, but decided with one
+    /// mask test per edge and no allocation: state `w` with edge
+    /// `(by, u)` is an internal conflict state iff some non-input signal
+    /// other than `by`'s is excited in `w` and not in `u`.
     pub fn is_output_semimodular(&self) -> bool {
-        self.internal_conflicts().is_empty()
+        let sg = self.sg;
+        let non_input = sg
+            .signal_ids()
+            .filter(|&s| sg.signal(s).kind().is_non_input())
+            .fold(0u64, |mask, s| mask | 1 << s.index());
+        sg.state_ids().all(|w| {
+            let excited = sg.excited_mask(w) & non_input;
+            sg.succs(w).iter().all(|&(by, u)| {
+                excited & !(1 << by.signal.index()) & !sg.excited_mask(u) == 0
+            })
+        })
     }
 
     /// All detonant witnesses (Definition 3) for the given signal filter.

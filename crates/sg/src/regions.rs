@@ -141,7 +141,12 @@ impl Regions {
         let n = sg.state_count();
         let mut regions = Regions::empty(n);
         let mut er_masks = Vec::new();
-        let graph = Sweep::new(sg);
+        // Whether the signal of `bit` has `value` in `s` and is excited
+        // there or not.
+        let is = |s: StateId, bit: u64, value: bool, excited: bool| {
+            (sg.code(s).bits() & bit != 0) == value && (sg.excited_mask(s) & bit != 0) == excited
+        };
+        let neighbours = |s: StateId| sg.succs(s).iter().chain(sg.preds(s)).map(|&(_, v)| v);
         // `labelled[s] == i + 1` once `s` joined an ER of signal `i` (at
         // most 64 signals, so the tag fits a byte and never needs reset).
         let mut labelled = vec![0u8; n];
@@ -154,7 +159,7 @@ impl Regions {
                 let before = dir.value_before();
                 let mut occurrence = 0;
                 for start in sg.state_ids() {
-                    if labelled[start.index()] == label || !graph.is(start, bit, before, true) {
+                    if labelled[start.index()] == label || !is(start, bit, before, true) {
                         continue;
                     }
                     occurrence += 1;
@@ -164,25 +169,25 @@ impl Regions {
                     stack.push(start);
                     while let Some(u) = stack.pop() {
                         insert(er, u);
-                        mask |= graph.excited(u);
+                        mask |= sg.excited_mask(u);
                         // The state the region's own transition lands in
                         // seeds its QR (Definition 6).
-                        if let Some(v) = graph.fire(u, bit) {
-                            if graph.is(v, bit, !before, false) && !contains(qr, v) {
+                        if let Some(v) = sg.fire(u, Transition { signal: sig, dir }) {
+                            if is(v, bit, !before, false) && !contains(qr, v) {
                                 insert(qr, v);
                                 qr_stack.push(v);
                             }
                         }
-                        for &v in graph.neighbours(u) {
-                            if labelled[v.index()] != label && graph.is(v, bit, before, true) {
+                        for v in neighbours(u) {
+                            if labelled[v.index()] != label && is(v, bit, before, true) {
                                 labelled[v.index()] = label;
                                 stack.push(v);
                             }
                         }
                     }
                     while let Some(u) = qr_stack.pop() {
-                        for &v in graph.neighbours(u) {
-                            if !contains(qr, v) && graph.is(v, bit, !before, false) {
+                        for v in neighbours(u) {
+                            if !contains(qr, v) && is(v, bit, !before, false) {
                                 insert(qr, v);
                                 qr_stack.push(v);
                             }
@@ -194,7 +199,7 @@ impl Regions {
         }
         // The member lists are laid out once the sweep's scratch is freed,
         // so the two never occupy memory together.
-        drop((graph, labelled, stack, qr_stack));
+        drop((labelled, stack, qr_stack));
         regions.finish(sg.signal_count());
         regions.er_masks = OnceLock::from(er_masks);
         regions
@@ -570,59 +575,6 @@ fn value_set(sg: &StateGraph, a: SignalId, value: bool, excited: bool) -> Vec<St
     sg.state_ids()
         .filter(|&s| sg.code(s).value(a) == value && sg.is_excited(s, a) == excited)
         .collect()
-}
-
-/// The graph as [`Regions::compute`] sweeps it: every state's neighbours
-/// in both directions in one flat array (successors first) and its code
-/// and excitation mask side by side, so a flood reads one contiguous run
-/// per visited state instead of chasing three pointers.
-struct Sweep {
-    /// `bounds[2s]..bounds[2s + 1]` index the successors of `s` in
-    /// `edges`, `bounds[2s + 1]..bounds[2s + 2]` its predecessors.
-    bounds: Vec<usize>,
-    edges: Vec<StateId>,
-    /// `(code bits, excitation mask)` per state.
-    states: Vec<(u64, u64)>,
-}
-
-impl Sweep {
-    fn new(sg: &StateGraph) -> Sweep {
-        let mut bounds = Vec::with_capacity(2 * sg.state_count() + 1);
-        let mut edges = Vec::with_capacity(2 * sg.edge_count());
-        for s in sg.state_ids() {
-            for list in [sg.succs(s), sg.preds(s)] {
-                bounds.push(edges.len());
-                edges.extend(list.iter().map(|&(_, v)| v));
-            }
-        }
-        bounds.push(edges.len());
-        let states = sg.state_ids().map(|s| (sg.code(s).bits(), sg.excited_mask(s))).collect();
-        Sweep { bounds, edges, states }
-    }
-
-    fn excited(&self, s: StateId) -> u64 {
-        self.states[s.index()].1
-    }
-
-    /// Whether the signal of `bit` has `value` in `s` and is excited
-    /// there or not.
-    fn is(&self, s: StateId, bit: u64, value: bool, excited: bool) -> bool {
-        let (code, mask) = self.states[s.index()];
-        (code & bit != 0) == value && (mask & bit != 0) == excited
-    }
-
-    /// The first successor of `s` reached by a transition of the signal
-    /// of `bit` (the one whose code differs there), as
-    /// [`StateGraph::fire`] picks it.
-    fn fire(&self, s: StateId, bit: u64) -> Option<StateId> {
-        let code = self.states[s.index()].0;
-        let succs = &self.edges[self.bounds[2 * s.index()]..self.bounds[2 * s.index() + 1]];
-        succs.iter().copied().find(|v| (self.states[v.index()].0 ^ code) & bit != 0)
-    }
-
-    fn neighbours(&self, s: StateId) -> &[StateId] {
-        &self.edges[self.bounds[2 * s.index()]..self.bounds[2 * s.index() + 2]]
-    }
 }
 
 #[cfg(test)]

@@ -83,6 +83,20 @@ cmp "$scale_dir/verify_1.out" "$scale_dir/verify_2.out" \
     && cmp "$scale_dir/verify_1.out" "$scale_dir/verify_8.out" \
     || { echo "error: scale verification differs across thread counts" >&2; exit 1; }
 
+echo "==> beam determinism: simc synth ganesh_8 and berkel3 at 1/2/8 threads"
+# scale-ring-16 inserts nothing, so it never reaches the threaded beam
+# search; these two rows insert four signals each through batches of
+# several beam nodes.
+for row in ganesh_8 berkel3; do
+    for t in 1 2 8; do
+        ./target/release/simc synth "benchmarks/$row" --threads "$t" \
+            > "$scale_dir/${row}_$t.out"
+    done
+    cmp "$scale_dir/${row}_1.out" "$scale_dir/${row}_2.out" \
+        && cmp "$scale_dir/${row}_1.out" "$scale_dir/${row}_8.out" \
+        || { echo "error: $row netlists differ across thread counts" >&2; exit 1; }
+done
+
 echo "==> loadgen --smoke --contract: simc serve daemon smoke"
 # Daemon smoke on an ephemeral port: loadgen spawns the real binary,
 # probes the status contract (400/429/404/405), replays the smoke

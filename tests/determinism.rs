@@ -45,19 +45,47 @@ fn suite_benchmarks_identical_across_thread_counts() {
     }
 }
 
+/// The counters of the work a reduction does: `beam.*`, `sat.*`,
+/// `regions.decompositions` and `cover.*`, as a scope open around it
+/// captured them.
+fn work_counters(counters: &[(Counter, u64)]) -> Vec<(Counter, u64)> {
+    let work = |c: Counter| {
+        let name = c.name();
+        ["beam.", "sat.", "cover."].iter().any(|prefix| name.starts_with(prefix))
+            || c == Counter::RegionDecompositions
+    };
+    counters.iter().copied().filter(|&(c, _)| work(c)).collect()
+}
+
 #[test]
 fn mc_reduction_identical_across_thread_counts() {
     // The threaded beam search must visit the same frontier in the same
     // order: identical reduced graphs (rendered to `.g` text), insertion
-    // counts and logs for every thread count.
-    // Capped at the three fastest benchmarks: the beam search dominates
-    // tier-1 time otherwise (the full suite runs in `repro_pipeline`).
-    for b in suite::all().into_iter().take(3) {
+    // counts and logs for every thread count, and the same work counted.
+    // The three fastest benchmarks run every batch inline (no depth has
+    // more than one node); berkel2's depth-1 batch holds several nodes,
+    // so it runs threaded. The rest of the suite runs in
+    // `repro_pipeline` and in CI's `simc synth --threads` comparisons.
+    let benchmarks = [suite::nak_pa(), suite::nowick(), suite::duplicator(), suite::berkel2()];
+    simc::obs::set_counters(true);
+    for b in benchmarks {
         let sg = b.stg.to_state_graph().expect("suite benchmark reaches");
-        let baseline = reduce_to_mc(&sg, ReduceOptions::default()).expect("reduces");
-        for threads in THREADS {
+        // The scope captures this thread's counters and, through the
+        // parallel map, the beam workers'.
+        let reduce = |threads: usize| {
+            let scope = simc::obs::scope();
             let opts = ReduceOptions { threads, ..ReduceOptions::default() };
             let result = reduce_to_mc(&sg, opts).expect("reduces");
+            (result, work_counters(&scope.finish()))
+        };
+        let (baseline, baseline_counters) = reduce(1);
+        assert!(
+            baseline_counters.iter().any(|&(c, v)| c == Counter::BeamNodesExpanded && v > 0),
+            "{}: counters are recorded",
+            b.name
+        );
+        for threads in THREADS {
+            let (result, counters) = reduce(threads);
             assert_eq!(result.added, baseline.added, "{}: {threads} threads", b.name);
             assert_eq!(result.log, baseline.log, "{}: {threads} threads", b.name);
             assert_eq!(
@@ -66,6 +94,7 @@ fn mc_reduction_identical_across_thread_counts() {
                 "{}: {threads} threads",
                 b.name
             );
+            assert_eq!(counters, baseline_counters, "{}: {threads} threads' counters", b.name);
         }
     }
 }
