@@ -20,7 +20,8 @@
 //!
 //! * `--threads N`   parallel-run worker count (defaults to the machine's
 //!   available parallelism, floor 4)
-//! * `--out PATH`    output path (default `BENCH_pipeline.json`)
+//! * `--out PATH`    output path (default `BENCH_pipeline.json`; with
+//!   `--check`, results are written only when `--out` is given)
 //! * `--smoke`       only profile a 2-benchmark subset (CI gate)
 //! * `--check PATH`  compare against a committed baseline: structural
 //!   columns and counters must match exactly, per-benchmark totals must
@@ -28,8 +29,8 @@
 //!   sub-millisecond phases); exits 1 on regression
 
 use simc_bench::profile::{
-    cache_sweep, counters_sweep, fuzz_coverage_sweep, scale_sweep, to_json_with_history,
-    BenchmarkCounters, FuzzCoverage, ScaleTimings, SuiteRun,
+    cache_sweep, counters_sweep, fuzz_coverage_sweep, scale_sweep, to_json, BenchmarkCounters,
+    FuzzCoverage, ScaleTimings, SuiteRun,
 };
 use simc_bench::report::Table;
 use simc_benchmarks::{scale, suite};
@@ -117,7 +118,9 @@ fn main() {
     }
     let threads = threads
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()).max(4));
-    let out_path = out_path.unwrap_or_else(|| "BENCH_pipeline.json".to_string());
+    // A check run must not overwrite the baseline it compares against.
+    let out_path =
+        out_path.or_else(|| check_path.is_none().then(|| "BENCH_pipeline.json".to_string()));
 
     let mut benchmarks = suite::all();
     if smoke {
@@ -218,33 +221,10 @@ fn main() {
         assert_eq!(s.states, c.states, "{}: state count differs in counter pass", s.name);
     }
 
-    // Preserve a before/after view of the state-assignment phase: if the
-    // output path already holds a baseline, compare its sequential
-    // `assign_s` per benchmark against this run's.
-    let before_after: Vec<(String, f64, f64)> = std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|text| json::parse(&text).ok())
-        .map(|old| {
-            let old_seq = sequential_benchmarks(&old);
-            sequential
-                .timings
-                .iter()
-                .filter_map(|t| {
-                    let before = old_seq
-                        .iter()
-                        .find(|b| b.get("name").and_then(Value::as_str) == Some(&t.name))?
-                        .get("assign_s")
-                        .and_then(Value::as_f64)?;
-                    Some((t.name.clone(), before, t.assign))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let json = to_json_with_history(
+    let json = to_json(
         &[sequential.clone(), parallel],
         &counters,
         &cache,
-        &before_after,
         &scale_timings,
         Some(&fuzz_coverage),
     );
@@ -254,8 +234,10 @@ fn main() {
         eprintln!("error: emitted JSON is malformed: {e}");
         std::process::exit(1);
     }
-    std::fs::write(&out_path, &json).expect("write BENCH_pipeline.json");
-    println!("wrote {out_path}");
+    if let Some(out_path) = out_path {
+        std::fs::write(&out_path, &json).expect("write BENCH_pipeline.json");
+        println!("wrote {out_path}");
+    }
 
     if let Some(baseline) = check_path {
         match check_against_baseline(

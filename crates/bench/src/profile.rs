@@ -423,31 +423,20 @@ pub fn fuzz_coverage_sweep(seed: u64, iters: u64) -> FuzzCoverage {
 /// { "runs": [ { label, threads, wall_s, benchmarks: [...] } ],
 ///   "counters": [ { name, states, signals_added, gates, literals,
 ///                   pipeline: { "sat.solves": ..., ... } } ],
-///   "cache": [ { name, cold_s, warm_s, speedup, identical } ] }
+///   "cache": [ { name, cold_s, warm_s, speedup, identical } ],
+///   "scale": [ { name, spec_states, reach_s, synth_s, verify_s,
+///                explored, verified } ],
+///   "symbolic_before_after": [ { name, before_s, after_s, ... } ],
+///   "fuzz_coverage": { seed, iters, campaign_edges, fresh_edges, ... } }
 /// ```
 ///
-/// Pass an empty `counters` (or `cache`) slice to omit that section —
-/// the timing-only legacy shape has neither.
+/// `symbolic_before_after` compares full against stubborn-set-reduced
+/// verification of each scale member, both measured in this run.
+/// An empty slice (or `None`) omits its section.
 pub fn to_json(
     runs: &[SuiteRun],
     counters: &[BenchmarkCounters],
     cache: &[CacheTimings],
-) -> String {
-    to_json_with_history(runs, counters, cache, &[], &[], None)
-}
-
-/// [`to_json`] with an optional `assign_before_after` section (one entry
-/// per benchmark whose state-assignment time in the baseline being
-/// replaced (`before_s`) is compared against this run (`after_s`)), the
-/// scale-family sections (`scale` holds the per-member profile and
-/// `symbolic_before_after` the full-vs-reduced verification comparison),
-/// and the `fuzz_coverage` section comparing coverage-guided campaigns
-/// against fresh-only generation.
-pub fn to_json_with_history(
-    runs: &[SuiteRun],
-    counters: &[BenchmarkCounters],
-    cache: &[CacheTimings],
-    before_after: &[(String, f64, f64)],
     scale: &[ScaleTimings],
     fuzz: Option<&FuzzCoverage>,
 ) -> String {
@@ -524,21 +513,6 @@ pub fn to_json_with_history(
                 c.speedup(),
                 c.identical,
                 if i + 1 < cache.len() { "," } else { "" }
-            );
-        }
-        out.push_str("  ]");
-    }
-    if !before_after.is_empty() {
-        out.push_str(",\n  \"assign_before_after\": [\n");
-        for (i, (name, before, after)) in before_after.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{ \"name\": {}, \"before_s\": {:.6}, \"after_s\": {:.6}, \"speedup\": {:.2} }}{}",
-                json_str(name),
-                before,
-                after,
-                before / after.max(1e-9),
-                if i + 1 < before_after.len() { "," } else { "" }
             );
         }
         out.push_str("  ]");
@@ -649,7 +623,7 @@ mod tests {
 
     #[test]
     fn json_shape_and_escaping() {
-        let json = to_json(&[dummy_run()], &[], &[]);
+        let json = to_json(&[dummy_run()], &[], &[], &[], None);
         assert!(json.contains("\"runs\""));
         assert!(json.contains("\"toggle \\\"x\\\"\""));
         assert!(json.contains("\"wall_s\": 1.000000"));
@@ -668,7 +642,7 @@ mod tests {
             warm: 0.005,
             identical: true,
         };
-        let json = to_json(&[dummy_run()], &[], &[cache]);
+        let json = to_json(&[dummy_run()], &[], &[cache], &[], None);
         let doc = simc_obs::json::parse(&json).expect("emitted JSON parses");
         let section = doc.get("cache").and_then(|v| v.as_array()).unwrap();
         assert_eq!(section.len(), 1);
@@ -690,7 +664,7 @@ mod tests {
             explored_full: 32769,
             verified: true,
         };
-        let json = to_json_with_history(&[dummy_run()], &[], &[], &[], &[scale], None);
+        let json = to_json(&[dummy_run()], &[], &[], &[scale], None);
         let doc = simc_obs::json::parse(&json).expect("emitted JSON parses");
         let section = doc.get("scale").and_then(|v| v.as_array()).unwrap();
         assert_eq!(section[0].get("spec_states").and_then(|v| v.as_u64()), Some(16384));
@@ -711,7 +685,7 @@ mod tests {
             curve: vec![(16, 200), (32, 300)],
             fresh_curve: vec![(16, 120), (32, 150)],
         };
-        let json = to_json_with_history(&[dummy_run()], &[], &[], &[], &[], Some(&fuzz));
+        let json = to_json(&[dummy_run()], &[], &[], &[], Some(&fuzz));
         let doc = simc_obs::json::parse(&json).expect("emitted JSON parses");
         let section = doc.get("fuzz_coverage").unwrap();
         assert_eq!(section.get("campaign_edges").and_then(|v| v.as_u64()), Some(300));
@@ -751,7 +725,7 @@ mod tests {
             literals: 5,
             counters: simc_obs::Counter::ALL.iter().map(|&c| (c, 7)).collect(),
         };
-        let json = to_json(&[dummy_run()], &[counters], &[]);
+        let json = to_json(&[dummy_run()], &[counters], &[], &[], None);
         let doc = simc_obs::json::parse(&json).expect("emitted JSON parses");
         let section = doc.get("counters").and_then(|v| v.as_array()).unwrap();
         assert_eq!(section.len(), 1);

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cube::Cube;
 
 /// A sum-of-products cover: an ordered list of [`Cube`]s whose union is
 /// the function's on-set (plus possibly don't-cares).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cover {
     cubes: Vec<Cube>,
 }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A cube (product term): a conjunction of literals over variables `0..64`.
 ///
 /// Internally a pair of bitmasks: `care` marks the variables that appear as
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// `care` is set). The cube with no literals is the universal cube
 /// ([`Cube::top`]); cubes here are never the empty product — emptiness only
 /// arises from failed intersections, which return `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cube {
     care: u64,
     value: u64,

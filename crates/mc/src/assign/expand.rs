@@ -2,14 +2,13 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use simc_sg::{SgBuilder, SignalKind, StateGraph, StateId, Transition};
 
 use crate::error::McError;
 
 /// The four-valued label of a state for a new signal `x`
 /// (the `{0, 1, up, down}` codes of the generalized state assignment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// `x` is stable at 0.
     Zero,
@@ -56,7 +55,7 @@ impl Phase {
 }
 
 /// A phase labelling of every state for one new signal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     phases: Vec<Phase>,
 }

@@ -11,13 +11,12 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
 use simc_cube::Cube;
 use simc_sat::{Lit, SatResult, Solver};
 use simc_sg::{BitSlice, Dir, ErId, Regions, SignalId, StateGraph, StateId};
 
 /// Why no monotonous-cover cube exists for a region.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum McCubeFailure {
     /// Even the maximal (Lemma 3) cube covers reachable states outside the
     /// constant-function region — no *correct* single-cube cover exists.
@@ -45,7 +44,7 @@ impl McCubeFailure {
 }
 
 /// How one excitation function (`S_a` or `R_a`) is covered.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FunctionCover {
     /// One monotonous cover cube per excitation region (Def. 18);
     /// `regions` and `cubes` are parallel.
@@ -87,7 +86,7 @@ impl FunctionCover {
 }
 
 /// One excitation function's entry in an [`McReport`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McEntry {
     /// The function's signal.
     pub signal: SignalId,
@@ -101,7 +100,7 @@ pub struct McEntry {
 /// The outcome of checking the MC requirement (Def. 18, with the
 /// degenerate-case exception of Section IV) on a state graph: one entry
 /// per excitation function of each non-input signal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McReport {
     entries: Vec<McEntry>,
 }
@@ -509,26 +508,6 @@ impl<'g> McCheck<'g> {
                     simc_obs::add(simc_obs::Counter::CoverDegenerate, 1);
                 }
                 return Some(cube);
-            }
-        }
-        None
-    }
-
-    /// A greedy, incomplete alternative to [`McCheck::mc_cube`] used by
-    /// the ablation benchmarks: starts from the Lemma 3 cube and, when
-    /// condition (2) fails, retries after dropping each literal once (no
-    /// backtracking). Sound (returned cubes are verified monotonous) but
-    /// may miss cubes the SAT search finds.
-    pub fn mc_cube_greedy(&self, er: ErId) -> Option<Cube> {
-        let full = self.lemma3_cube(er);
-        if self.is_monotonous_cover(er, full) {
-            return Some(self.minimize_literals(er, full));
-        }
-        let literals: Vec<(usize, bool)> = full.literals().collect();
-        for (var, _) in &literals {
-            let widened = full.without_literal(*var);
-            if self.is_monotonous_cover(er, widened) {
-                return Some(self.minimize_literals(er, widened));
             }
         }
         None
@@ -957,22 +936,6 @@ mod tests {
         let report = check.report();
         let failures = report.region_failures();
         assert!(!failures.is_empty());
-    }
-
-    #[test]
-    fn greedy_agrees_with_sat_where_it_succeeds() {
-        for sg in [figures::toggle(), figures::c_element(), figures::figure3()] {
-            let check = McCheck::new(&sg);
-            for (er, region) in check.regions().ers() {
-                if !sg.signal(region.signal()).kind().is_non_input() {
-                    continue;
-                }
-                if let Some(cube) = check.mc_cube_greedy(er) {
-                    assert!(check.is_monotonous_cover(er, cube));
-                    assert!(check.mc_cube(er).is_ok(), "SAT must also succeed");
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Gate primitives and their next-state functions.
 
-use serde::{Deserialize, Serialize};
-
 /// The primitive gates of the paper's implementation structures.
 ///
 /// Combinational gates compute their output from inputs alone; the latch
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// active). Input inversions on AND/OR gates are part of the gate, per the
 /// paper's justification that bundled input inverters preserve
 /// speed-independence under the realistic bound `d_inv^max < D_sn^min`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GateKind {
     /// AND gate; bit `i` of the mask inverts input `i`.
     And {

@@ -3,8 +3,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NetlistError;
 use crate::gate::GateKind;
 
@@ -12,7 +10,7 @@ use crate::gate::GateKind;
 pub(crate) const MAX_GATES: usize = 128;
 
 /// Index of a net (wire).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetId(pub(crate) u32);
 
 impl NetId {
@@ -23,7 +21,7 @@ impl NetId {
 }
 
 /// Index of a gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GateId(pub(crate) u32);
 
 impl GateId {
@@ -33,7 +31,7 @@ impl GateId {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct GateData {
     pub(crate) kind: GateKind,
     pub(crate) inputs: Vec<NetId>,
@@ -69,7 +67,7 @@ pub(crate) struct GateData {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Netlist {
     net_names: Vec<String>,
     by_name: HashMap<String, NetId>,
@@ -872,7 +870,7 @@ impl Netlist {
 }
 
 /// Size statistics for a netlist (area proxies used in the experiments).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetlistStats {
     /// Number of AND gates.
     pub and_gates: usize,

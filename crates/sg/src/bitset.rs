@@ -13,12 +13,10 @@
 //! side by side in one word arena and hand out views into it, so a table
 //! of sets costs one allocation instead of one per set.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::StateId;
 
 /// A fixed-domain dense bitset over state ids `0..len`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::signal::SignalId;
 
 /// Maximum number of signals representable in a [`StateCode`].
@@ -14,9 +12,7 @@ pub(crate) const MAX_SIGNALS: usize = 64;
 /// Bit `i` holds the value of the signal with [`SignalId`] `i`. Codes are
 /// *not* necessarily unique across states of a graph — duplicate codes are
 /// exactly what the Complete State Coding analysis looks for.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateCode(u64);
 
 impl StateCode {

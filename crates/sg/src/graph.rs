@@ -3,8 +3,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::{StateCode, MAX_SIGNALS};
 use crate::error::SgError;
 use crate::props::Analysis;
@@ -12,7 +10,7 @@ use crate::regions::Regions;
 use crate::signal::{Dir, Signal, SignalId, SignalKind, Transition};
 
 /// Index of a state within a [`StateGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(pub(crate) u32);
 
 impl StateId {
@@ -33,7 +31,7 @@ impl fmt::Display for StateId {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct StateData {
     code: StateCode,
     /// Bit `i` set iff some edge out of the state fires signal `i`.
@@ -43,7 +41,7 @@ struct StateData {
 /// One direction of a graph's edges in compressed rows: the edges of
 /// state `s` are `edges[offsets[s]..offsets[s + 1]]`, so a whole graph's
 /// adjacency is two allocations however many states it has.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Rows {
     offsets: Vec<u32>,
     edges: Vec<(Transition, StateId)>,
@@ -100,7 +98,7 @@ impl Rows {
 /// Equality is structural: same signals in the same order, same codes,
 /// successor and predecessor lists in the same order, same initial
 /// state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateGraph {
     signals: Vec<Signal>,
     states: Vec<StateData>,

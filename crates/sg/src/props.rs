@@ -5,14 +5,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{StateGraph, StateId};
 use crate::signal::{SignalId, SignalKind, Transition};
 
 /// A conflict witness (Definition 1): signal `victim` is excited in `state`
 /// but firing `by` leads to `after`, where `victim` is stable again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Conflict {
     /// The conflict state `w`.
     pub state: StateId,
@@ -26,7 +24,7 @@ pub struct Conflict {
 
 /// A detonant witness (Definition 3): `signal` is stable in `state` but
 /// excited in two distinct direct successors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Detonant {
     /// The detonant state `w`.
     pub state: StateId,
@@ -40,7 +38,7 @@ pub struct Detonant {
 
 /// A Complete State Coding violation (Definition 14): two states share a
 /// binary code but enable different non-input transitions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CscViolation {
     /// First state of the clashing pair.
     pub state_a: StateId,

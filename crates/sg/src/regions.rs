@@ -3,14 +3,12 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitset::BitSlice;
 use crate::graph::{StateGraph, StateId};
 use crate::signal::{Dir, SignalId, Transition};
 
 /// Index of an excitation region within a [`Regions`] analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ErId(pub(crate) u32);
 
 impl ErId {
@@ -94,7 +92,7 @@ impl<'a> ExcitationRegion<'a> {
 /// analysis is built, so an analysis costs the same handful of
 /// allocations however many regions it holds. QR and CFR members are read
 /// off their sets on demand rather than stored twice.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Regions {
     /// `(signal, direction, occurrence)` per region.
     heads: Vec<(SignalId, Dir, u32)>,

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a signal within a [`StateGraph`](crate::StateGraph).
 ///
 /// Signal ids are dense: a graph with `n` signals uses ids `0..n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SignalId(pub(crate) u32);
 
 impl SignalId {
@@ -32,7 +30,7 @@ impl fmt::Display for SignalId {
 ///
 /// Only *non-input* signals (outputs and internal signals) are synthesized
 /// into logic; input signals are produced by the environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SignalKind {
     /// Driven by the environment; never synthesized.
     Input,
@@ -50,7 +48,7 @@ impl SignalKind {
 }
 
 /// A named signal together with its [`SignalKind`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Signal {
     name: String,
     kind: SignalKind,
@@ -74,7 +72,7 @@ impl Signal {
 }
 
 /// Direction of a signal transition: rising (`+a`) or falling (`-a`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Dir {
     /// A `0 -> 1` transition, written `+a`.
     Rise,
@@ -129,7 +127,7 @@ impl fmt::Display for Dir {
 ///
 /// Multiple occurrences of the same transition within a cycle (the paper's
 /// `*a_j` index) are distinguished at the *region* level, not in the label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Transition {
     /// The changing signal.
     pub signal: SignalId,

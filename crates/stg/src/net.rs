@@ -2,13 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use simc_sg::{Dir, Signal, SignalId, SignalKind};
 
 use crate::error::StgError;
 
 /// Index of a transition in an [`Stg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TransId(pub(crate) u32);
 
 impl TransId {
@@ -19,7 +18,7 @@ impl TransId {
 }
 
 /// Index of a place in an [`Stg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PlaceId(pub(crate) u32);
 
 impl PlaceId {
@@ -30,7 +29,7 @@ impl PlaceId {
 }
 
 /// A node of the net: either a transition or a place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeId {
     /// A transition node.
     Trans(TransId),
@@ -40,7 +39,7 @@ pub enum NodeId {
 
 /// The label of a transition: a signal edge with an occurrence index
 /// (`a+`, `b-/2`, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TransLabel {
     /// The signal that fires.
     pub signal: SignalId,
@@ -50,14 +49,14 @@ pub struct TransLabel {
     pub occurrence: u32,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct TransData {
     pub(crate) label: TransLabel,
     pub(crate) preset: Vec<PlaceId>,
     pub(crate) postset: Vec<PlaceId>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct PlaceData {
     pub(crate) name: String,
     pub(crate) preset: Vec<TransId>,
@@ -65,7 +64,7 @@ pub(crate) struct PlaceData {
 }
 
 /// A token marking over the places of an [`Stg`] (1-safe: a bitset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Marking(pub(crate) u128);
 
 impl Marking {
@@ -100,7 +99,7 @@ impl Marking {
 /// A signal transition graph: a 1-safe Petri net whose transitions are
 /// labelled with signal edges. Build with [`StgBuilder`](crate::StgBuilder)
 /// or [`parse_g`](crate::parse_g).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Stg {
     pub(crate) name: String,
     pub(crate) signals: Vec<Signal>,

@@ -16,6 +16,12 @@ cargo build --release -p simc-bench
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -q -p simc-bench"
+# `crates/bench` is outside default-members, so the plain `cargo test`
+# above skips its unit tests (the BENCH_pipeline.json emitter and the
+# fuzz-coverage sweep).
+cargo test -q --offline -p simc-bench
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -56,10 +62,14 @@ echo "==> repro_pipeline --smoke --check BENCH_pipeline.json"
 # malformed JSON or on counters / structural columns diverging from the
 # committed baseline, on totals regressing more than 10% (+50ms grace),
 # or on the state-assignment phase (`assign_s`) regressing more than 20%
-# (+20ms grace) — the ganesh_8 assign gate.
-smoke_out="$(mktemp)"
-trap 'rm -f "$smoke_out"; rm -rf "$fuzz_dir"' EXIT
-./target/release/repro_pipeline --smoke --check BENCH_pipeline.json --out "$smoke_out"
+# (+20ms grace) — the ganesh_8 assign gate. Without `--out` a check run
+# writes nothing, so the committed baseline must come out byte-identical.
+baseline_copy="$(mktemp)"
+trap 'rm -f "$baseline_copy"; rm -rf "$fuzz_dir"' EXIT
+cp BENCH_pipeline.json "$baseline_copy"
+./target/release/repro_pipeline --smoke --check BENCH_pipeline.json
+cmp BENCH_pipeline.json "$baseline_copy" \
+    || { echo "error: repro_pipeline --check modified BENCH_pipeline.json" >&2; exit 1; }
 
 echo "==> scale-family smoke: synthesize + verify scale-ring-16"
 # Bounded symbolic-engine smoke: a 131 072-state spec must synthesize
@@ -67,7 +77,7 @@ echo "==> scale-family smoke: synthesize + verify scale-ring-16"
 # arena-based reachability and stubborn-set reduction. Byte-identical
 # output across thread counts guards the parallel determinism contract.
 scale_dir="$(mktemp -d)"
-trap 'rm -f "$smoke_out"; rm -rf "$fuzz_dir" "$scale_dir"' EXIT
+trap 'rm -f "$baseline_copy"; rm -rf "$fuzz_dir" "$scale_dir"' EXIT
 for t in 1 2 8; do
     ./target/release/simc synth benchmarks/scale-ring-16 --threads "$t" \
         > "$scale_dir/synth_$t.out"
@@ -111,7 +121,7 @@ echo "==> simc batch cold/warm over the built-in suite"
 # must be byte-identical to the cold first pass and must actually hit
 # the cache (no recomputation).
 batch_dir="$(mktemp -d)"
-trap 'rm -f "$smoke_out"; rm -rf "$fuzz_dir" "$scale_dir" "$batch_dir"' EXIT
+trap 'rm -f "$baseline_copy"; rm -rf "$fuzz_dir" "$scale_dir" "$batch_dir"' EXIT
 printf 'benchmarks/*\n' > "$batch_dir/manifest.txt"
 ./target/release/simc batch "$batch_dir/manifest.txt" \
     --cache-dir "$batch_dir/cache" > "$batch_dir/cold.json"
@@ -132,7 +142,7 @@ echo "==> simc convert: EDIF round trip + warm-cache smoke"
 # Verilog conversion to equal `simc synth --verilog` byte for byte, and
 # require the warm second conversion to be answered from the shared cache.
 conv_dir="$(mktemp -d)"
-trap 'rm -f "$smoke_out"; rm -rf "$fuzz_dir" "$scale_dir" "$batch_dir" "$conv_dir"' EXIT
+trap 'rm -f "$baseline_copy"; rm -rf "$fuzz_dir" "$scale_dir" "$batch_dir" "$conv_dir"' EXIT
 for bench in Delement berkel3; do
     ./target/release/simc convert "benchmarks/$bench" --to edif \
         --cache-dir "$conv_dir/cache" > "$conv_dir/$bench.edif"

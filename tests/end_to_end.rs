@@ -3,8 +3,8 @@
 //! suite and the generators.
 //!
 //! The slow sequencers (`ganesh_8`, `berkel3`) are exercised by the
-//! release-mode repro binaries and benches; here we keep the debug-mode
-//! test suite fast.
+//! release-mode repro binaries and perfbench's `table1` workload; here we
+//! keep the debug-mode test suite fast.
 
 use simc::benchmarks::{generators, suite};
 use simc::mc::assign::{reduce_to_mc, ReduceOptions};
@@ -30,9 +30,17 @@ fn full_flow(name: &str, sg: &simc::sg::StateGraph, expect_added: Option<usize>)
     );
     let check = McCheck::new(&reduced.sg);
     assert!(check.report().satisfied(), "{name}: MC must hold after reduction");
+    let mut c_element = None;
     for target in [Target::CElement, Target::RsLatch] {
         let implementation = synthesize(&reduced.sg, target)
             .unwrap_or_else(|e| panic!("{name}: synthesis failed: {e}"));
+        // The latch style changes only the storage element: both targets
+        // emit the same set/reset product terms.
+        let first = c_element.get_or_insert_with(|| implementation.clone());
+        assert_eq!(first.equations(), implementation.equations(), "{name} ({target:?})");
+        for (a, b) in first.networks().iter().zip(implementation.networks()) {
+            assert_eq!((&a.set, &a.reset), (&b.set, &b.reset), "{name} ({target:?}): {}", b.name);
+        }
         let netlist = implementation
             .to_netlist()
             .unwrap_or_else(|e| panic!("{name}: netlist failed: {e}"));

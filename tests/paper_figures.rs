@@ -82,8 +82,14 @@ fn figure3_matches_equations_2() {
     assert!(eqs.contains("Sd = x'"), "{eqs}");
     assert!(eqs.contains("Rd = x"), "{eqs}");
     for target in [Target::CElement, Target::RsLatch] {
-        let implementation = synthesize(&sg, target).unwrap();
-        let netlist = implementation.to_netlist().unwrap();
+        let synthesized = synthesize(&sg, target).unwrap();
+        // The latch style changes only the storage element: both targets
+        // emit the same set/reset product terms.
+        assert_eq!(synthesized.equations(), eqs, "{target:?}");
+        for (a, b) in implementation.networks().iter().zip(synthesized.networks()) {
+            assert_eq!((&a.set, &a.reset), (&b.set, &b.reset), "{target:?}: {}", b.name);
+        }
+        let netlist = synthesized.to_netlist().unwrap();
         let verdict = verify(&netlist, &sg, VerifyOptions::default()).unwrap();
         assert!(verdict.is_ok(), "{target:?}: {:?}", verdict.violations);
     }
