@@ -28,6 +28,32 @@ pub enum Target {
     RsLatch,
 }
 
+impl Target {
+    /// The stable name of the target: `c-element` or `rs-latch`. Cache,
+    /// flight and memo keys hash these bytes, and `simc batch` and the
+    /// `X-Simc-Target` header of `simc serve` spell targets this way.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Target::CElement => "c-element",
+            Target::RsLatch => "rs-latch",
+        }
+    }
+}
+
+impl std::str::FromStr for Target {
+    /// The diagnostic for an unknown name.
+    type Err = String;
+
+    /// Parses a [`Target::tag`].
+    fn from_str(tag: &str) -> Result<Target, String> {
+        match tag {
+            "c-element" => Ok(Target::CElement),
+            "rs-latch" => Ok(Target::RsLatch),
+            other => Err(format!("unknown target `{other}` (expected `c-element` or `rs-latch`)")),
+        }
+    }
+}
+
 /// One synthesized signal network.
 #[derive(Debug, Clone)]
 pub struct SignalNetwork {
@@ -513,5 +539,16 @@ mod tests {
         let implementation = synthesize(&sg, Target::CElement).unwrap();
         assert_eq!(implementation.cube_count(), 2); // set + reset
         assert_eq!(implementation.literal_count(), 4); // ab + a'b'
+    }
+
+    #[test]
+    fn target_tags_round_trip() {
+        for target in [Target::CElement, Target::RsLatch] {
+            assert_eq!(target.tag().parse::<Target>(), Ok(target));
+        }
+        assert_eq!(
+            "nand".parse::<Target>(),
+            Err("unknown target `nand` (expected `c-element` or `rs-latch`)".to_string())
+        );
     }
 }

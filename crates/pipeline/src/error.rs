@@ -21,7 +21,7 @@ use simc_stg::StgError;
 pub enum ErrorKind {
     /// The input specification is malformed or semantically unusable
     /// (parse errors, inconsistent labelling, failed reachability). The
-    /// CLI maps this to a usage failure (exit 2).
+    /// CLI answers it as a usage failure (exit 2).
     Parse,
     /// Synthesis failed on a well-formed input: no speed-independent
     /// implementation exists or the search could not find one.
@@ -46,6 +46,31 @@ impl fmt::Display for ErrorKind {
             ErrorKind::Io => "io",
         };
         f.write_str(name)
+    }
+}
+
+impl ErrorKind {
+    /// The status table of the front ends: the `simc` exit code and the
+    /// `simc serve` HTTP status that answer a failure of this kind. A
+    /// hazardous verdict is answered as [`ErrorKind::Verification`]
+    /// (see [`crate::Verified::failure_kind`]).
+    fn codes(self) -> (u8, u16) {
+        match self {
+            ErrorKind::Parse => (2, 400),
+            ErrorKind::Synthesis | ErrorKind::Verification => (1, 422),
+            ErrorKind::ResourceLimit => (1, 429),
+            ErrorKind::Io => (1, 500),
+        }
+    }
+
+    /// The `simc` exit code of this kind.
+    pub fn exit_code(self) -> u8 {
+        self.codes().0
+    }
+
+    /// The `simc serve` HTTP status of this kind.
+    pub fn http_status(self) -> u16 {
+        self.codes().1
     }
 }
 
@@ -176,5 +201,33 @@ impl From<FormatError> for Error {
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
         Error::Io(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The status table, pinned row by row. The match has no wildcard,
+    /// so a new kind does not compile until it has a row here.
+    #[test]
+    fn every_kind_has_its_exit_code_and_http_status() {
+        let row = |kind: ErrorKind| match kind {
+            ErrorKind::Parse => (2, 400),
+            ErrorKind::Synthesis => (1, 422),
+            ErrorKind::Verification => (1, 422),
+            ErrorKind::ResourceLimit => (1, 429),
+            ErrorKind::Io => (1, 500),
+        };
+        let kinds = [
+            ErrorKind::Parse,
+            ErrorKind::Synthesis,
+            ErrorKind::Verification,
+            ErrorKind::ResourceLimit,
+            ErrorKind::Io,
+        ];
+        for kind in kinds {
+            assert_eq!((kind.exit_code(), kind.http_status()), row(kind), "{kind}");
+        }
     }
 }

@@ -33,6 +33,11 @@
 //! or a caller asks for it, and text is parsed back only to revive a
 //! cached graph.
 //!
+//! The operations built on the stages — analyze, synth, verify and
+//! convert — live in [`ops`], one function each with a typed outcome;
+//! the `simc` subcommands, `simc batch` and `simc serve` all call them.
+//! A failure's [`ErrorKind`] carries its exit code and HTTP status.
+//!
 //! The older per-crate entry points (`simc_mc::synth::synthesize`,
 //! `simc_netlist::verify`, …) remain supported; the pipeline is a thin
 //! orchestration layer over them plus the cache.
@@ -42,6 +47,7 @@
 
 mod codec;
 mod error;
+pub mod ops;
 
 use std::sync::{Arc, OnceLock};
 
@@ -201,7 +207,7 @@ impl Implemented {
 ///
 /// Violation descriptions are pre-rendered strings so a verdict revived
 /// from the cache prints byte-identically to a freshly computed one.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Verified {
     ok: bool,
     explored: usize,
@@ -209,6 +215,27 @@ pub struct Verified {
 }
 
 impl Verified {
+    /// Verifies `netlist` speed-independent against `sg`, the graph it
+    /// implements: the computation behind [`Pipeline::verified`], open to
+    /// netlists the pipeline did not build.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Netlist`] when the verifier cannot run (including a blown
+    /// state budget).
+    pub fn check(netlist: &Netlist, sg: &StateGraph, options: VerifyOptions) -> Result<Self, Error> {
+        let report = verify(netlist, sg, options).map_err(Error::Netlist)?;
+        let violations =
+            report.violations.iter().map(|v| report.describe(netlist, sg, v)).collect();
+        Ok(Verified { ok: report.is_ok(), explored: report.explored, violations })
+    }
+
+    /// `None` when hazard-free; a hazardous verdict is answered with the
+    /// exit code and HTTP status of [`ErrorKind::Verification`].
+    pub fn failure_kind(&self) -> Option<ErrorKind> {
+        (!self.ok).then_some(ErrorKind::Verification)
+    }
+
     /// Whether the implementation is hazard-free.
     pub fn is_ok(&self) -> bool {
         self.ok
@@ -327,6 +354,22 @@ impl Pipeline {
     /// The configured thread count.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Whether the pipeline was built from the text of an EDIF netlist
+    /// (an earlier conversion's output) rather than from a spec. Such a
+    /// pipeline has no stages to run: [`ops::convert`] re-emits the
+    /// netlist, and every stage fails to parse it.
+    pub fn is_netlist(&self) -> bool {
+        self.netlist_text().is_some()
+    }
+
+    /// The source text when [`Pipeline::is_netlist`].
+    fn netlist_text(&self) -> Option<&str> {
+        match &self.source {
+            Some(Source::Text(text)) if simc_formats::looks_like_edif(text) => Some(text),
+            _ => None,
+        }
     }
 
     /// Fails with [`Error::DeadlineExceeded`] when a deadline is set and
@@ -454,7 +497,7 @@ impl Pipeline {
                 || {
                     let mut hasher = KeyHasher::new(domains::VERDICT);
                     hasher.update(implemented.working_canonical_text().as_bytes());
-                    hasher.update(target_tag(self.target).as_bytes());
+                    hasher.update(self.target.tag().as_bytes());
                     hasher.update_u64(options.max_states as u64);
                     hasher.update_u64(options.max_violations as u64);
                     hasher.update_u64(u64::from(options.flag_clashes));
@@ -465,15 +508,7 @@ impl Pipeline {
                     codec::decode_verdict(bytes)
                         .map(|(ok, explored, violations)| Verified { ok, explored, violations })
                 },
-                || {
-                    let report = verify(netlist, working, options).map_err(Error::Netlist)?;
-                    let violations = report
-                        .violations
-                        .iter()
-                        .map(|v| report.describe(netlist, working, v))
-                        .collect();
-                    Ok(Verified { ok: report.is_ok(), explored: report.explored, violations })
-                },
+                || Verified::check(netlist, working, options),
                 |verified| {
                     codec::encode_verdict(verified.ok, verified.explored, &verified.violations)
                 },
@@ -508,7 +543,7 @@ impl Pipeline {
                     elaborated.canonical_text().as_bytes(),
                     format.id().as_bytes(),
                     b"emit",
-                    target_tag(self.target).as_bytes(),
+                    self.target.tag().as_bytes(),
                 ],
             );
             (cache, key)
@@ -639,14 +674,6 @@ fn implementation_from_report(
         covers.push((up.signal, set, reset));
     }
     build_from_covers(sg, covers, target)
-}
-
-/// Stable tag naming a target in cache keys.
-fn target_tag(target: Target) -> &'static str {
-    match target {
-        Target::CElement => "c-element",
-        Target::RsLatch => "rs-latch",
-    }
 }
 
 #[cfg(test)]

@@ -18,13 +18,16 @@
 //! * `POST /shutdown` — graceful drain: stop accepting, finish every
 //!   queued request, join the workers, return.
 //!
-//! Statuses mirror the CLI exit-code contract: `200` ↔ exit 0, `422` ↔
-//! exit 1 (a well-formed request with a negative answer: hazards found,
-//! synthesis gave up), `400` ↔ exit 2 (malformed input), plus the
-//! daemon-only refusals `429` (deadline/budget exhausted, the
-//! [`ErrorKind::ResourceLimit`] path) and `503` (queue full — shed,
-//! retry later). A panic inside a request is caught and answered with
-//! `500`; the worker survives.
+//! Each compute endpoint runs one operation of [`simc_pipeline::ops`] —
+//! the same functions behind `simc analyze|synth|verify|convert` — and
+//! only renders its outcome as JSON. A failure is answered with the HTTP
+//! status of its [`ErrorKind`], from the one table that also gives the
+//! CLI its exit codes ([`ErrorKind::http_status`]): `400` for malformed
+//! input (exit 2), `422` for a well-formed request with a negative
+//! answer — hazards found, synthesis gave up — (exit 1), `429` for a
+//! blown deadline or budget. The daemon adds `503` (queue full — shed,
+//! retry later); a panic inside a request is caught and answered with
+//! `500`, and the worker survives.
 //!
 //! A compute request is answered in this order:
 //!
@@ -77,7 +80,7 @@ use simc_mc::synth::Target;
 use simc_formats::Format;
 use simc_netlist::VerifyOptions;
 use simc_obs::{self as obs, Counter};
-use simc_pipeline::{Error, ErrorKind, Pipeline};
+use simc_pipeline::{ops, Error, ErrorKind, Pipeline};
 
 use flight::{FlightMap, FlightResult, Role};
 use http::Request;
@@ -462,16 +465,9 @@ impl Params {
     /// is a ready-made `400`, an already-expired deadline a `429`.
     fn of(request: &Request, received: Instant) -> Result<Params, Outcome> {
         let endpoint = Endpoint::of(&request.path).expect("router admits compute paths only");
-        let target = match request.header("x-simc-target") {
-            None | Some("c-element") => Target::CElement,
-            Some("rs-latch") => Target::RsLatch,
-            Some(other) => {
-                return Err(error_outcome(
-                    400,
-                    "parse",
-                    &format!("unknown target `{other}` (expected `c-element` or `rs-latch`)"),
-                ));
-            }
+        let target = match request.header("x-simc-target").map_or(Ok(Target::CElement), str::parse) {
+            Ok(target) => target,
+            Err(message) => return Err(error_outcome(400, "parse", &message)),
         };
         let max_states = header_u64(request, "x-simc-max-states")?;
         let deadline_ms = header_u64(request, "x-simc-deadline-ms")?;
@@ -509,7 +505,7 @@ impl Params {
         let mut hasher = KeyHasher::new(domain);
         hasher.update(self.endpoint.tag().as_bytes());
         hasher.update(self.format.map_or("", |f| f.id()).as_bytes());
-        hasher.update(target_tag(self.target).as_bytes());
+        hasher.update(self.target.tag().as_bytes());
         hasher.update_u64(self.max_states.unwrap_or(u64::MAX));
         hasher.update_u64(self.deadline_ms.unwrap_or(u64::MAX));
         hasher
@@ -524,38 +520,12 @@ impl Params {
 }
 
 /// Answers a request by computing it: parse, elaborate, and run the
-/// endpoint's stages inside a flight keyed on the canonical spec.
+/// endpoint's operation inside a flight.
 fn computed(shared: &Shared, job: &Job, params: &Params) -> Response {
     let &Params { endpoint, target, format, max_states, deadline, .. } = params;
     let Ok(spec) = std::str::from_utf8(&job.request.body) else {
         return plain(error_outcome(400, "parse", "request body is not UTF-8"));
     };
-    // A convert body that is already an EDIF netlist skips the synthesis
-    // pipeline: parse + re-emit, single-flighted over the raw body.
-    if endpoint == Endpoint::Convert && simc_formats::looks_like_edif(spec) {
-        let format = format.expect("convert requests carry a format");
-        let mut hasher = KeyHasher::new(domains::SERVE_FLIGHT);
-        hasher.update(endpoint.tag().as_bytes());
-        hasher.update(format.id().as_bytes());
-        hasher.update(b"reemit");
-        hasher.update(spec.as_bytes());
-        let key = hasher.finish();
-        let cache = shared.cache.clone();
-        let text = spec.to_string();
-        let result = shared.flights.run(key, move || {
-            obs::add(Counter::ServeComputations, 1);
-            match simc_formats::reemit_cached(
-                cache.as_deref(),
-                &text,
-                &simc_formats::EdifFormat,
-                format,
-            ) {
-                Ok(out) => convert_outcome(format.id(), &out),
-                Err(error) => outcome_for_error(&Error::from(error)),
-            }
-        });
-        return flight_response(result);
-    }
     let mut pipeline = Pipeline::from_text(spec).with_target(target).with_threads(1);
     if let Some(cache) = &shared.cache {
         pipeline = pipeline.with_cache(Arc::clone(cache));
@@ -567,10 +537,20 @@ fn computed(shared: &Shared, job: &Job, params: &Params) -> Response {
     if let Some(deadline) = deadline {
         pipeline = pipeline.with_deadline(deadline);
     }
-    // Elaborate up front: the single-flight key hashes the *canonical*
-    // form, so isomorphic submissions (renamed models, reordered lines)
-    // join the same flight. Elaboration itself is cache-memoized.
-    let key = {
+    let key = if endpoint == Endpoint::Convert && pipeline.is_netlist() {
+        // A convert body that is already an EDIF netlist is re-emitted
+        // without synthesis: its flight is keyed on the raw body.
+        let format = format.expect("convert requests carry a format");
+        let mut hasher = KeyHasher::new(domains::SERVE_FLIGHT);
+        hasher.update(endpoint.tag().as_bytes());
+        hasher.update(format.id().as_bytes());
+        hasher.update(b"reemit");
+        hasher.update(spec.as_bytes());
+        hasher.finish()
+    } else {
+        // Elaborate up front: the flight key hashes the *canonical* form,
+        // so isomorphic submissions (renamed models, reordered lines)
+        // join the same flight. Elaboration itself is cache-memoized.
         let canonical = match pipeline.elaborated() {
             Ok(elaborated) => elaborated.canonical_text(),
             Err(error) => return plain(outcome_for_error(&error)),
@@ -614,116 +594,67 @@ fn flight_response(result: FlightResult<Outcome>) -> Response {
     }
 }
 
-/// Runs the stages an endpoint needs and renders its result body.
+/// Runs an endpoint's operation and renders its result body.
 fn endpoint_outcome(
     endpoint: Endpoint,
     format: Option<&'static dyn Format>,
     mut pipeline: Pipeline,
 ) -> Outcome {
     let escape = obs::json::escape;
-    match endpoint {
-        Endpoint::Analyze => {
-            let (states, edges, semimodular, csc, usc) = match pipeline.elaborated() {
-                Ok(elaborated) => {
-                    let sg = elaborated.sg();
-                    let analysis = sg.analysis();
-                    (
-                        sg.state_count(),
-                        sg.edge_count(),
-                        analysis.is_semimodular(),
-                        analysis.has_csc(),
-                        analysis.has_usc(),
-                    )
-                }
-                Err(error) => return outcome_for_error(&error),
-            };
-            let mc_satisfied = match pipeline.covered() {
-                Ok(covered) => covered.report().satisfied(),
-                Err(error) => return outcome_for_error(&error),
-            };
+    let ok = |body| Outcome { status: 200, body };
+    let outcome = match endpoint {
+        Endpoint::Analyze => ops::analyze(&mut pipeline).map(|a| {
+            ok(format!(
+                "{{\"status\":\"ok\",\"states\":{},\"edges\":{},\"semi_modular\":{},\
+                 \"csc\":{},\"usc\":{},\"mc_satisfied\":{}}}",
+                a.states, a.edges, a.semimodular, a.csc, a.usc, a.mc_satisfied
+            ))
+        }),
+        Endpoint::Synth => ops::synth(&mut pipeline).map(|s| {
+            ok(format!(
+                "{{\"status\":\"ok\",\"working_states\":{},\"added_signals\":{},\
+                 \"cubes\":{},\"literals\":{},\"equations\":{}}}",
+                s.counts.working_states,
+                s.counts.added_signals,
+                s.counts.cubes,
+                s.counts.literals,
+                escape(&s.implemented.implementation().equations()),
+            ))
+        }),
+        Endpoint::Verify => ops::verify(&mut pipeline).map(|v| {
+            let verdict = v.verified;
+            let violations: Vec<String> = verdict.violations().iter().map(|v| escape(v)).collect();
             Outcome {
-                status: 200,
+                status: verdict.failure_kind().map_or(200, ErrorKind::http_status),
                 body: format!(
-                    "{{\"status\":\"ok\",\"states\":{states},\"edges\":{edges},\
-                     \"semi_modular\":{semimodular},\"csc\":{csc},\"usc\":{usc},\
-                     \"mc_satisfied\":{mc_satisfied}}}"
+                    "{{\"status\":{},\"verdict\":\"{}\",\"explored\":{},\
+                     \"added_signals\":{},\"violations\":[{}]}}",
+                    if verdict.is_ok() { "\"ok\"" } else { "\"fail\"" },
+                    if verdict.is_ok() { "hazard-free" } else { "hazardous" },
+                    verdict.explored(),
+                    v.counts.added_signals,
+                    violations.join(","),
                 ),
             }
-        }
-        Endpoint::Synth => match pipeline.implemented() {
-            Ok(implemented) => Outcome {
-                status: 200,
-                body: format!(
-                    "{{\"status\":\"ok\",\"working_states\":{},\"added_signals\":{},\
-                     \"cubes\":{},\"literals\":{},\"equations\":{}}}",
-                    implemented.working_sg().state_count(),
-                    implemented.added_signals(),
-                    implemented.implementation().cube_count(),
-                    implemented.implementation().literal_count(),
-                    escape(&implemented.implementation().equations()),
-                ),
-            },
-            Err(error) => outcome_for_error(&error),
-        },
-        Endpoint::Verify => {
-            let added = match pipeline.implemented() {
-                Ok(implemented) => implemented.added_signals(),
-                Err(error) => return outcome_for_error(&error),
-            };
-            match pipeline.verified() {
-                Ok(verified) => {
-                    let violations: Vec<String> =
-                        verified.violations().iter().map(|v| escape(v)).collect();
-                    Outcome {
-                        // A hazardous verdict is a *negative answer*,
-                        // not a malfunction: 422, mirroring CLI exit 1.
-                        status: if verified.is_ok() { 200 } else { 422 },
-                        body: format!(
-                            "{{\"status\":{},\"verdict\":\"{}\",\"explored\":{},\
-                             \"added_signals\":{added},\"violations\":[{}]}}",
-                            if verified.is_ok() { "\"ok\"" } else { "\"fail\"" },
-                            if verified.is_ok() { "hazard-free" } else { "hazardous" },
-                            verified.explored(),
-                            violations.join(","),
-                        ),
-                    }
-                }
-                Err(error) => outcome_for_error(&error),
-            }
-        }
+        }),
         Endpoint::Convert => {
             let format = format.expect("convert requests carry a format");
-            match pipeline.converted(format.id()) {
-                Ok(text) => convert_outcome(format.id(), &text),
-                Err(error) => outcome_for_error(&error),
-            }
+            ops::convert(&mut pipeline, format).map(|text| {
+                ok(format!(
+                    "{{\"status\":\"ok\",\"format\":{},\"bytes\":{},\"text\":{}}}",
+                    escape(format.id()),
+                    text.len(),
+                    escape(&text),
+                ))
+            })
         }
-    }
-}
-
-/// The `/v1/convert` success body: the emitted text plus its format.
-fn convert_outcome(format: &str, text: &str) -> Outcome {
-    Outcome {
-        status: 200,
-        body: format!(
-            "{{\"status\":\"ok\",\"format\":{},\"bytes\":{},\"text\":{}}}",
-            obs::json::escape(format),
-            text.len(),
-            obs::json::escape(text),
-        ),
-    }
-}
-
-/// Maps a pipeline error onto the status contract (the HTTP analogue of
-/// `cli_error` in the CLI front end).
-fn outcome_for_error(error: &Error) -> Outcome {
-    let status = match error.kind() {
-        ErrorKind::Parse => 400,
-        ErrorKind::ResourceLimit => 429,
-        ErrorKind::Synthesis | ErrorKind::Verification => 422,
-        _ => 500,
     };
-    error_outcome(status, &error.kind().to_string(), &error.to_string())
+    outcome.unwrap_or_else(|error| outcome_for_error(&error))
+}
+
+/// Answers a pipeline error with its kind's HTTP status.
+fn outcome_for_error(error: &Error) -> Outcome {
+    error_outcome(error.kind().http_status(), &error.kind().to_string(), &error.to_string())
 }
 
 fn error_outcome(status: u16, kind: &str, message: &str) -> Outcome {
@@ -796,12 +727,4 @@ fn respond(stream: &mut TcpStream, status: u16, role: Option<Role>, body: &str) 
         None => {}
     }
     let _ = http::write_response(stream, status, &headers, body);
-}
-
-/// Stable tag naming a target inside flight keys.
-fn target_tag(target: Target) -> &'static str {
-    match target {
-        Target::CElement => "c-element",
-        Target::RsLatch => "rs-latch",
-    }
 }

@@ -61,13 +61,17 @@
 //! ephemeral port; the chosen address is printed to stdout as
 //! `listening on http://...`.
 //!
+//! `analyze`, `synth`, `verify` and `convert`, like every `batch` job and
+//! every `serve` endpoint, run their operation through
+//! [`simc::pipeline::ops`] and only render its outcome here. Spec
+//! numbering in outputs is the canonical (BFS-renumbered) form, so
+//! isomorphic inputs print identically.
+//!
 //! Exit codes: `0` success, `1` operational failure (hazards found, CSC
 //! violation, oracle disagreement, failed batch job), `2` usage error or
-//! malformed input.
-//!
-//! Since the pipeline rework the subcommands run on [`simc::Pipeline`];
-//! spec numbering in outputs is the canonical (BFS-renumbered) form, so
-//! isomorphic inputs print identically.
+//! malformed input. A pipeline failure exits with the code of its
+//! [`simc::ErrorKind`] ([`simc::ErrorKind::exit_code`]), from the one
+//! table that also gives `simc serve` its HTTP statuses.
 
 use std::borrow::Cow;
 use std::io::{Read, Write as _};
@@ -80,39 +84,34 @@ use simc::mc::baseline::synthesize_baseline;
 use simc::mc::gen::synthesize_generalized;
 use simc::mc::parallel::parallel_map;
 use simc::mc::synth::Target;
-use simc::netlist::{verify, Netlist, VerifyOptions};
+use simc::netlist::{Netlist, VerifyOptions};
+use simc::pipeline::ops;
 use simc::sg::StateGraph;
-use simc::{ErrorKind, Pipeline};
+use simc::{ErrorKind, Pipeline, Verified};
 
-/// A CLI failure carrying its exit code.
-enum CliError {
-    /// Exit 2: bad invocation or malformed input — the request never made
-    /// sense, rerunning it unchanged cannot succeed.
-    Usage(String),
-    /// Exit 1: a well-formed request whose answer is negative — hazards
-    /// found, a property violated, a search that gave up.
-    Failure(String),
+/// A CLI failure: its diagnostic and its exit code.
+struct CliError {
+    message: String,
+    code: u8,
 }
 
 impl CliError {
+    /// Exit 2: bad invocation or malformed input — the request never made
+    /// sense, rerunning it unchanged cannot succeed.
     fn usage(message: impl Into<String>) -> Self {
-        CliError::Usage(message.into())
+        CliError { message: message.into(), code: 2 }
     }
 
+    /// Exit 1: a well-formed request whose answer is negative — hazards
+    /// found, a property violated, a search that gave up.
     fn failure(message: impl Into<String>) -> Self {
-        CliError::Failure(message.into())
+        CliError { message: message.into(), code: 1 }
     }
 }
 
-/// Maps a pipeline error to the CLI exit-code contract: parse-kind
-/// errors are usage errors (exit 2), everything else is operational
-/// (exit 1).
+/// A pipeline error in `context`, exiting with its kind's code.
 fn cli_error(error: simc::Error, context: &str) -> CliError {
-    let message = format!("{context}: {error}");
-    match error.kind() {
-        ErrorKind::Parse => CliError::usage(message),
-        _ => CliError::failure(message),
-    }
+    CliError { message: format!("{context}: {error}"), code: error.kind().exit_code() }
 }
 
 /// An operational failure (exit 1) carrying a component error's message.
@@ -124,13 +123,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(CliError::Failure(message)) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-        Err(CliError::Usage(message)) => {
-            eprintln!("error: {message}");
-            ExitCode::from(2)
+        Err(error) => {
+            eprintln!("error: {}", error.message);
+            ExitCode::from(error.code)
         }
     }
 }
@@ -425,26 +420,13 @@ fn convert(
     };
     let format = simc::formats::by_id(to)
         .map_err(|e| CliError::usage(format!("{e}\n{}", simc::formats::listing_json())))?;
-    let (spec, label) = load_spec(spec_path)?;
-    let text = match spec {
-        // An input that is already an EDIF netlist: parse it back and
-        // re-emit without running the synthesis pipeline.
-        Spec::Text(text) if simc::formats::looks_like_edif(&text) => {
-            simc::formats::reemit_cached(
-                cache.as_deref(),
-                &text,
-                &simc::formats::EdifFormat,
-                format,
-            )
-            .map_err(|e| cli_error(simc::Error::from(e), &format!("converting {label}")))?
-        }
-        spec => {
-            let mut pipeline = pipeline_from_spec(spec, &label, target, cache)?;
-            pipeline
-                .converted(to)
-                .map_err(|e| cli_error(e, &format!("converting {label}")))?
-        }
-    };
+    let (mut pipeline, label) = load(spec_path, target, cache)?;
+    // An EDIF netlist is re-emitted without elaboration.
+    if !pipeline.is_netlist() {
+        parse(&mut pipeline, label)?;
+    }
+    let text = ops::convert(&mut pipeline, format)
+        .map_err(|e| cli_error(e, &format!("converting {label}")))?;
     print!("{text}");
     Ok(())
 }
@@ -596,80 +578,62 @@ fn serve(values: &[(&str, &str)], cache: &Option<Arc<dyn Cache>>) -> Result<(), 
     Ok(())
 }
 
-/// A loaded specification: raw text, or an already-built state graph
-/// (the built-in benchmark fallback).
-enum Spec {
-    Text(String),
-    Sg(StateGraph),
-}
-
-impl Spec {
-    /// A pipeline over the spec for `target`, on the shared cache if any.
-    fn into_pipeline(self, target: Target, cache: &Option<Arc<dyn Cache>>) -> Pipeline {
-        let pipeline = match self {
-            Spec::Text(text) => Pipeline::from_text(text),
-            Spec::Sg(sg) => Pipeline::from_sg(sg),
-        }
-        .with_target(target);
-        match cache {
-            Some(cache) => pipeline.with_cache(Arc::clone(cache)),
-            None => pipeline,
-        }
-    }
-}
-
-/// Loads a spec argument: `-` is stdin, a readable file is its text, and
-/// `benchmarks/<name>` falls back to the built-in Table 1 suite.
-fn load_spec(path: Option<&String>) -> Result<(Spec, String), CliError> {
+/// Loads a spec argument into a pipeline for `target` on the shared
+/// cache: `-` is stdin, a readable file is its text, and
+/// `benchmarks/<name>` falls back to the built-in Table 1 suite. Returns
+/// the pipeline and the argument, which labels diagnostics.
+fn load<'a>(
+    path: Option<&'a String>,
+    target: Target,
+    cache: &Option<Arc<dyn Cache>>,
+) -> Result<(Pipeline, &'a str), CliError> {
     let path = path.ok_or_else(|| CliError::usage(usage()))?;
-    if path == "-" {
+    let pipeline = if path == "-" {
         let mut buffer = String::new();
         std::io::stdin()
             .read_to_string(&mut buffer)
             .map_err(|e| CliError::usage(format!("reading stdin: {e}")))?;
-        return Ok((Spec::Text(buffer), path.clone()));
+        Pipeline::from_text(buffer)
+    } else {
+        match std::fs::read_to_string(path) {
+            Ok(text) => Pipeline::from_text(text),
+            // Fall back to the built-in Table 1 suite: `benchmarks/<name>`
+            // works without the specs existing on disk.
+            Err(e) => match builtin_benchmark(path) {
+                Some(stg) => Pipeline::from_sg(
+                    stg.to_state_graph()
+                        .map_err(|e| CliError::usage(format!("reachability of {path}: {e}")))?,
+                ),
+                None => return Err(CliError::usage(format!("reading {path}: {e}"))),
+            },
+        }
     }
-    match std::fs::read_to_string(path) {
-        Ok(text) => Ok((Spec::Text(text), path.clone())),
-        // Fall back to the built-in Table 1 suite: `benchmarks/<name>`
-        // works without the specs existing on disk.
-        Err(e) => match builtin_benchmark(path) {
-            Some(stg) => {
-                let sg = stg
-                    .to_state_graph()
-                    .map_err(|e| CliError::usage(format!("reachability of {path}: {e}")))?;
-                Ok((Spec::Sg(sg), path.clone()))
-            }
-            None => Err(CliError::usage(format!("reading {path}: {e}"))),
-        },
-    }
+    .with_target(target);
+    let pipeline = match cache {
+        Some(cache) => pipeline.with_cache(Arc::clone(cache)),
+        None => pipeline,
+    };
+    Ok((pipeline, path))
 }
 
-/// Builds a pipeline for a spec argument and eagerly elaborates it so
-/// parse errors carry the spec path and exit 2.
+/// [`load`]s a spec argument and elaborates it eagerly, so parse errors
+/// carry the spec path and exit 2.
 fn pipeline_for(
     path: Option<&String>,
     target: Target,
     cache: &Option<Arc<dyn Cache>>,
 ) -> Result<Pipeline, CliError> {
-    let (spec, label) = load_spec(path)?;
-    pipeline_from_spec(spec, &label, target, cache)
+    let (mut pipeline, label) = load(path, target, cache)?;
+    parse(&mut pipeline, label)?;
+    Ok(pipeline)
 }
 
-/// Builds and eagerly elaborates a pipeline from an already-loaded spec
-/// (see [`pipeline_for`]; `simc convert` loads the spec itself so it can
-/// sniff EDIF inputs first).
-fn pipeline_from_spec(
-    spec: Spec,
-    label: &str,
-    target: Target,
-    cache: &Option<Arc<dyn Cache>>,
-) -> Result<Pipeline, CliError> {
-    let mut pipeline = spec.into_pipeline(target, cache);
-    pipeline
-        .elaborated()
-        .map_err(|e| cli_error(e, &format!("parsing {label}")))?;
-    Ok(pipeline)
+/// Elaborates a loaded spec, labelling a parse error with the spec path.
+fn parse(pipeline: &mut Pipeline, label: &str) -> Result<(), CliError> {
+    match pipeline.elaborated() {
+        Ok(_) => Ok(()),
+        Err(e) => Err(cli_error(e, &format!("parsing {label}"))),
+    }
 }
 
 /// Resolves `benchmarks/<name>` (or a bare suite name) against the
@@ -708,36 +672,20 @@ fn write_dot(path: Option<&str>, render: impl FnOnce() -> String) -> Result<(), 
 }
 
 fn analyze(mut pipeline: Pipeline) -> Result<(), CliError> {
-    let sg = elaborated(&mut pipeline)?.sg().clone();
-    println!("states: {}", sg.state_count());
-    println!("edges:  {}", sg.edge_count());
-    let inputs: Vec<&str> = sg
-        .input_signals()
-        .iter()
-        .map(|&s| sg.signal(s).name())
-        .collect();
-    let outputs: Vec<&str> = sg
-        .non_input_signals()
-        .iter()
-        .map(|&s| sg.signal(s).name())
-        .collect();
-    println!("inputs: {}", inputs.join(" "));
-    println!("non-inputs: {}", outputs.join(" "));
-    let analysis = sg.analysis();
-    println!("semi-modular: {}", analysis.is_semimodular());
-    println!("output semi-modular: {}", analysis.is_output_semimodular());
-    println!("output distributive: {}", analysis.is_output_distributive());
-    println!("CSC: {}", analysis.has_csc());
-    println!("USC: {}", analysis.has_usc());
-    let regions = pipeline.regioned().map_err(|e| cli_error(e, "region analysis"))?.regions();
-    println!("excitation regions: {}", regions.er_count());
-    println!("output persistent: {}", regions.is_output_persistent(&sg));
-    let report = pipeline.covered().map_err(|e| cli_error(e, "cover check"))?.report();
-    println!(
-        "MC requirement: {}",
-        if report.satisfied() { "satisfied" } else { "VIOLATED" }
-    );
-    print!("{}", report.render(&sg));
+    let a = ops::analyze(&mut pipeline).map_err(|e| cli_error(e, "analysis"))?;
+    println!("states: {}", a.states);
+    println!("edges:  {}", a.edges);
+    println!("inputs: {}", a.inputs.join(" "));
+    println!("non-inputs: {}", a.non_inputs.join(" "));
+    println!("semi-modular: {}", a.semimodular);
+    println!("output semi-modular: {}", a.output_semimodular);
+    println!("output distributive: {}", a.output_distributive);
+    println!("CSC: {}", a.csc);
+    println!("USC: {}", a.usc);
+    println!("excitation regions: {}", a.excitation_regions);
+    println!("output persistent: {}", a.output_persistent);
+    println!("MC requirement: {}", if a.mc_satisfied { "satisfied" } else { "VIOLATED" });
+    print!("{}", a.mc_report);
     Ok(())
 }
 
@@ -817,7 +765,8 @@ fn implement(
         };
         return Ok(Routed { netlist: Cow::Owned(netlist), graph, equations });
     }
-    let implemented = pipeline.implemented().map_err(|e| cli_error(e, "synthesis"))?;
+    let implemented =
+        ops::synth(pipeline).map_err(|e| cli_error(e, "synthesis"))?.implemented;
     let added = implemented.added_signals();
     if added > 0 {
         eprintln!("note: inserted {added} state signal(s) to satisfy MC");
@@ -867,34 +816,32 @@ fn do_verify(
         let routed = implement(&mut pipeline, route, target)?;
         // Export before the verdict so hazardous repros stay inspectable.
         write_dot(dot_path, || render("dot", &Artifact::Netlist(&routed.netlist)))?;
-        if route == Route::Standard {
-            None
-        } else {
-            let (netlist, graph) = (routed.netlist.as_ref(), routed.graph);
-            let report = verify(netlist, graph, VerifyOptions::default()).map_err(failed)?;
-            let violations =
-                report.violations.iter().map(|v| report.describe(netlist, graph, v)).collect();
-            Some((report.is_ok(), report.explored, violations))
+        match route {
+            Route::Standard => None,
+            _ => Some(
+                Verified::check(&routed.netlist, routed.graph, VerifyOptions::default())
+                    .map_err(failed)?,
+            ),
         }
     };
-    let (ok, explored, violations): (bool, usize, Vec<String>) = match direct {
+    let verdict = match &direct {
         Some(verdict) => verdict,
-        None => {
-            let verified = pipeline.verified().map_err(|e| cli_error(e, "verification"))?;
-            (verified.is_ok(), verified.explored(), verified.violations().to_vec())
-        }
+        None => ops::verify(&mut pipeline).map_err(|e| cli_error(e, "verification"))?.verified,
     };
     println!(
-        "{} ({explored} composed states explored)",
-        if ok { "hazard-free" } else { "HAZARDOUS" }
+        "{} ({} composed states explored)",
+        if verdict.is_ok() { "hazard-free" } else { "HAZARDOUS" },
+        verdict.explored()
     );
-    for violation in &violations {
+    for violation in verdict.violations() {
         println!("  {violation}");
     }
-    if ok {
-        Ok(())
-    } else {
-        Err(CliError::failure(format!("{} violation(s) found", violations.len())))
+    match verdict.failure_kind() {
+        None => Ok(()),
+        Some(kind) => Err(CliError {
+            message: format!("{} violation(s) found", verdict.violations().len()),
+            code: kind.exit_code(),
+        }),
     }
 }
 
@@ -904,28 +851,19 @@ struct BatchJob {
     target: Target,
 }
 
-/// The outcome of one batch job, ready for JSON rendering.
+/// The outcome of one batch job, ready for JSON rendering: the counts
+/// and verdict of a job that ran, or the kind and message of its failure.
 struct JobOutcome {
     spec: String,
     target: Target,
-    result: Result<JobMetrics, (ErrorKind, String)>,
+    result: Result<(ops::Counts, Verified), (ErrorKind, String)>,
 }
 
-/// Synthesis and verification metrics of a successful job.
-struct JobMetrics {
-    states: usize,
-    working_states: usize,
-    added: usize,
-    mc_satisfied: bool,
-    cubes: usize,
-    literals: u32,
-    and_gates: usize,
-    or_gates: usize,
-    latch_rails: usize,
-    other_gates: usize,
-    verified: bool,
-    explored: usize,
-    violations: usize,
+impl JobOutcome {
+    /// Whether the job ran and its implementation is hazard-free.
+    fn ok(&self) -> bool {
+        self.result.as_ref().is_ok_and(|(_, verdict)| verdict.is_ok())
+    }
 }
 
 fn batch(
@@ -944,7 +882,7 @@ fn batch(
         .map_err(|e| CliError::usage(format!("reading {manifest_path}: {e}")))?;
     let jobs = parse_manifest(&text, manifest_path, default_target)?;
     let outcomes = parallel_map(&jobs, threads, |job| run_job(job, cache));
-    let ok = outcomes.iter().filter(|o| o.result.as_ref().is_ok_and(|m| m.verified)).count();
+    let ok = outcomes.iter().filter(|o| o.ok()).count();
     let failed = outcomes.len() - ok;
     let json = render_batch_json(manifest_path, &outcomes);
     match out_path {
@@ -1022,54 +960,17 @@ fn parse_manifest(
     Ok(jobs)
 }
 
-/// Runs one batch job through the full pipeline. Parallelism is across
-/// jobs, so each job's pipeline is single-threaded; the shared cache
-/// still deduplicates work between isomorphic jobs.
+/// Runs one batch job through the verify operation. Parallelism is
+/// across jobs, so each job's pipeline is single-threaded; the shared
+/// cache still deduplicates work between isomorphic jobs.
 fn run_job(job: &BatchJob, cache: &Option<Arc<dyn Cache>>) -> JobOutcome {
-    let outcome = |result| JobOutcome { spec: job.spec.clone(), target: job.target, result };
-    let spec = match load_spec(Some(&job.spec)) {
-        Ok((spec, _)) => spec,
-        Err(CliError::Usage(m)) | Err(CliError::Failure(m)) => {
-            return outcome(Err((ErrorKind::Parse, m)));
-        }
+    let result = match load(Some(&job.spec), job.target, cache) {
+        Err(error) => Err((ErrorKind::Parse, error.message)),
+        Ok((pipeline, _)) => ops::verify(&mut pipeline.with_threads(1))
+            .map(|v| (v.counts, v.verified.clone()))
+            .map_err(|e| (e.kind(), e.to_string())),
     };
-    let mut pipeline = spec.into_pipeline(job.target, cache).with_threads(1);
-    let run = |pipeline: &mut Pipeline| -> Result<JobMetrics, simc::Error> {
-        let states = pipeline.elaborated()?.sg().state_count();
-        let mc_satisfied = pipeline.covered()?.report().satisfied();
-        let implemented = pipeline.implemented()?;
-        let working_states = implemented.working_sg().state_count();
-        let added = implemented.added_signals();
-        let cubes = implemented.implementation().cube_count();
-        let literals = implemented.implementation().literal_count();
-        let stats = implemented.netlist().stats();
-        let (and_gates, or_gates, latch_rails, other_gates) =
-            (stats.and_gates, stats.or_gates, stats.latch_rails, stats.other_gates);
-        let verified = pipeline.verified()?;
-        Ok(JobMetrics {
-            states,
-            working_states,
-            added,
-            mc_satisfied,
-            cubes,
-            literals,
-            and_gates,
-            or_gates,
-            latch_rails,
-            other_gates,
-            verified: verified.is_ok(),
-            explored: verified.explored(),
-            violations: verified.violations().len(),
-        })
-    };
-    outcome(run(&mut pipeline).map_err(|e| (e.kind(), e.to_string())))
-}
-
-fn target_name(target: Target) -> &'static str {
-    match target {
-        Target::CElement => "c-element",
-        Target::RsLatch => "rs-latch",
-    }
+    JobOutcome { spec: job.spec.clone(), target: job.target, result }
 }
 
 /// Renders the deterministic batch summary (no timings, stable order).
@@ -1078,7 +979,7 @@ fn render_batch_json(manifest_path: &str, outcomes: &[JobOutcome]) -> String {
     let escape = simc::obs::json::escape;
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"manifest\": {},", escape(manifest_path));
-    let ok = outcomes.iter().filter(|o| o.result.as_ref().is_ok_and(|m| m.verified)).count();
+    let ok = outcomes.iter().filter(|o| o.ok()).count();
     let _ = writeln!(out, "  \"jobs_total\": {},", outcomes.len());
     let _ = writeln!(out, "  \"jobs_ok\": {},", ok);
     let _ = writeln!(out, "  \"jobs_failed\": {},", outcomes.len() - ok);
@@ -1086,9 +987,9 @@ fn render_batch_json(manifest_path: &str, outcomes: &[JobOutcome]) -> String {
     for (index, outcome) in outcomes.iter().enumerate() {
         out.push_str("    {");
         let _ = write!(out, "\"spec\": {}, ", escape(&outcome.spec));
-        let _ = write!(out, "\"target\": {}, ", escape(target_name(outcome.target)));
+        let _ = write!(out, "\"target\": {}, ", escape(outcome.target.tag()));
         match &outcome.result {
-            Ok(m) => {
+            Ok((c, verdict)) => {
                 let _ = write!(
                     out,
                     "\"status\": \"ok\", \"states\": {}, \"working_states\": {}, \
@@ -1096,19 +997,19 @@ fn render_batch_json(manifest_path: &str, outcomes: &[JobOutcome]) -> String {
                      \"literals\": {}, \"and_gates\": {}, \"or_gates\": {}, \
                      \"latch_rails\": {}, \"other_gates\": {}, \"verified\": {}, \
                      \"explored\": {}, \"violations\": {}",
-                    m.states,
-                    m.working_states,
-                    m.added,
-                    m.mc_satisfied,
-                    m.cubes,
-                    m.literals,
-                    m.and_gates,
-                    m.or_gates,
-                    m.latch_rails,
-                    m.other_gates,
-                    m.verified,
-                    m.explored,
-                    m.violations
+                    c.states,
+                    c.working_states,
+                    c.added_signals,
+                    c.mc_satisfied,
+                    c.cubes,
+                    c.literals,
+                    c.gates.and_gates,
+                    c.gates.or_gates,
+                    c.gates.latch_rails,
+                    c.gates.other_gates,
+                    verdict.is_ok(),
+                    verdict.explored(),
+                    verdict.violations().len()
                 );
             }
             Err((kind, message)) => {
