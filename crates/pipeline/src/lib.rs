@@ -223,7 +223,11 @@ impl Verified {
     ///
     /// [`Error::Netlist`] when the verifier cannot run (including a blown
     /// state budget).
-    pub fn check(netlist: &Netlist, sg: &StateGraph, options: VerifyOptions) -> Result<Self, Error> {
+    pub fn check(
+        netlist: &Netlist,
+        sg: &StateGraph,
+        options: VerifyOptions,
+    ) -> Result<Self, Error> {
         let report = verify(netlist, sg, options).map_err(Error::Netlist)?;
         let violations =
             report.violations.iter().map(|v| report.describe(netlist, sg, v)).collect();

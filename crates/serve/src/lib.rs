@@ -18,16 +18,16 @@
 //! * `POST /shutdown` — graceful drain: stop accepting, finish every
 //!   queued request, join the workers, return.
 //!
-//! Each compute endpoint runs one operation of [`simc_pipeline::ops`] —
-//! the same functions behind `simc analyze|synth|verify|convert` — and
+//! Each compute endpoint runs one operation of [`simc_pipeline::ops`]
+//! (the same functions behind `simc analyze|synth|verify|convert`) and
 //! only renders its outcome as JSON. A failure is answered with the HTTP
 //! status of its [`ErrorKind`], from the one table that also gives the
-//! CLI its exit codes ([`ErrorKind::http_status`]): `400` for malformed
-//! input (exit 2), `422` for a well-formed request with a negative
-//! answer — hazards found, synthesis gave up — (exit 1), `429` for a
-//! blown deadline or budget. The daemon adds `503` (queue full — shed,
-//! retry later); a panic inside a request is caught and answered with
-//! `500`, and the worker survives.
+//! CLI its exit codes ([`ErrorKind::http_status`]): `400` (exit 2) for
+//! malformed input, `422` (exit 1) for a well-formed request with a
+//! negative answer such as hazards found or synthesis giving up, `429`
+//! for a blown deadline or budget. The daemon adds `503` (queue full —
+//! shed, retry later); a panic inside a request is caught and answered
+//! with `500`, and the worker survives.
 //!
 //! A compute request is answered in this order:
 //!
@@ -465,7 +465,8 @@ impl Params {
     /// is a ready-made `400`, an already-expired deadline a `429`.
     fn of(request: &Request, received: Instant) -> Result<Params, Outcome> {
         let endpoint = Endpoint::of(&request.path).expect("router admits compute paths only");
-        let target = match request.header("x-simc-target").map_or(Ok(Target::CElement), str::parse) {
+        let target = request.header("x-simc-target").map_or(Ok(Target::CElement), str::parse);
+        let target = match target {
             Ok(target) => target,
             Err(message) => return Err(error_outcome(400, "parse", &message)),
         };

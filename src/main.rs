@@ -765,8 +765,7 @@ fn implement(
         };
         return Ok(Routed { netlist: Cow::Owned(netlist), graph, equations });
     }
-    let implemented =
-        ops::synth(pipeline).map_err(|e| cli_error(e, "synthesis"))?.implemented;
+    let implemented = ops::synth(pipeline).map_err(|e| cli_error(e, "synthesis"))?.implemented;
     let added = implemented.added_signals();
     if added > 0 {
         eprintln!("note: inserted {added} state signal(s) to satisfy MC");

@@ -131,8 +131,8 @@ fn post(addr: std::net::SocketAddr, path: &str, headers: &[(&str, &str)], body: 
 }
 
 fn serve_goldens() -> Vec<Golden> {
-    let server = Server::start(ServeConfig { workers: 1, ..ServeConfig::default() })
-        .expect("server starts");
+    let server =
+        Server::start(ServeConfig { workers: 1, ..ServeConfig::default() }).expect("server starts");
     let addr = server.addr();
     let endpoints = ["analyze", "synth", "verify", "convert"];
     let mut files = vec![String::new(); endpoints.len()];
@@ -216,7 +216,8 @@ fn serve_responses_match_the_golden_files() {
 #[test]
 #[ignore = "rewrites tests/golden; run explicitly after a deliberate change of results"]
 fn regenerate_golden_files() {
-    let all = [synth_goldens(), analyze_goldens(), verify_goldens(), batch_goldens(), serve_goldens()];
+    let all =
+        [synth_goldens(), analyze_goldens(), verify_goldens(), batch_goldens(), serve_goldens()];
     for golden in all.into_iter().flatten() {
         let path = golden_dir().join(&golden.path);
         std::fs::create_dir_all(path.parent().expect("golden files sit in a directory"))
